@@ -210,9 +210,9 @@ inline engine::IsolationMode parseIsolate(int argc, char** argv) {
   return engine::IsolationMode::Thread;
 }
 
-/// Parse "--journal=<path>" / "--resume=<path>" (empty when absent). An
-/// empty path after '=' is a usage error — it would silently disable the
-/// durability the caller asked for.
+/// Parse a "<flag>=<path>" argument such as "--store=<dir>" (empty when
+/// absent). An empty path after '=' is a usage error — it would silently
+/// disable what the caller asked for.
 inline std::string parsePathFlag(int argc, char** argv,
                                  const std::string& flag) {
   const std::string prefix = flag + "=";
@@ -317,21 +317,25 @@ inline void printFailureFooter(const engine::GridResult& grid,
   out << "\n";
 }
 
-/// Baseline EngineOptions shared by the benches: jobs, budget, and the
-/// resilience flags (--deadline / --retries / --retry-backoff-ms /
-/// --isolate / --journal / --resume / --fail-fast / --inject-fault) from
-/// the command line, everything else per-bench.
+/// Baseline EngineOptions shared by every engine bench: --jobs and
+/// --budget, the only flags ExperimentEngine::runJobs honours.
 inline engine::EngineOptions engineOptions(int argc, char** argv) {
   engine::EngineOptions options;
   options.jobs = parseJobs(argc, argv);
   options.budget = parseBudget(argc, argv);
+  return options;
+}
+
+/// engineOptions plus the runGrid resilience flags (--deadline /
+/// --retries / --retry-backoff-ms / --isolate / --fail-fast /
+/// --inject-fault).
+inline engine::EngineOptions gridEngineOptions(int argc, char** argv) {
+  engine::EngineOptions options = engineOptions(argc, argv);
   options.deadlineSeconds = parseDeadline(argc, argv);
   options.retries = parseRetries(argc, argv);
   options.retryBackoffMs = parseRetryBackoffMs(argc, argv);
   options.isolate = parseIsolate(argc, argv);
   options.failFast = parseFailFast(argc, argv);
-  options.journalPath = parsePathFlag(argc, argv, "--journal");
-  options.resumeFrom = parsePathFlag(argc, argv, "--resume");
   applyFaultInjection(argc, argv, options);
   return options;
 }
@@ -409,16 +413,12 @@ inline void requireKnownFlagsExact(int argc, char** argv,
   }
 }
 
-/// requireKnownFlagsExact with the engine-common flags every grid/job
-/// bench accepts (the engineOptions set) appended to `known`.
+/// requireKnownFlagsExact with the flags every grid/job bench accepts
+/// (the engineOptions set) appended to `known`.
 inline void requireKnownFlags(int argc, char** argv,
                               std::vector<std::string> known) {
-  for (const char* flag :
-       {"--jobs=", "--budget=", "--deadline=", "--retries=",
-        "--retry-backoff-ms=", "--isolate=", "--journal=", "--resume=",
-        "--fail-fast", "--inject-fault="}) {
-    known.emplace_back(flag);
-  }
+  known.emplace_back("--jobs=");
+  known.emplace_back("--budget=");
   requireKnownFlagsExact(argc, argv, known);
 }
 
@@ -435,21 +435,27 @@ struct GridRun {
 
 /// Execute `spec` per the command line: locally (default, honoring every
 /// engine execution flag plus an optional --store=DIR read/write-through
-/// result store) or via a simd daemon ("--via=socket:<path>", which owns
-/// execution policy and store). `benchFlags` lists the bench's own extra
-/// flags for the unknown-flag audit; --via/--store and the engine-common
-/// set are included automatically.
+/// result store; rerunning a crashed grid with the same --store recomputes
+/// only the cells that did not finish) or via a simd daemon
+/// ("--via=socket:<path>", which owns execution policy and store).
+/// `benchFlags` lists the bench's own extra flags for the unknown-flag
+/// audit; the grid-only and engine-common sets are included automatically.
 inline GridRun runGridSpec(engine::GridSpec spec, int argc, char** argv,
                            std::vector<std::string> benchFlags = {}) {
-  engine::EngineOptions base = engineOptions(argc, argv);
+  engine::EngineOptions base = gridEngineOptions(argc, argv);
   // --budget is part of every cell's identity (it caps the simulated
   // stream), so it must travel inside the spec the daemon fingerprints,
   // not just in the local EngineOptions.
   spec.budget = parseBudget(argc, argv);
   const std::string socketPath = parseVia(argc, argv);
   const std::string storeRoot = parsePathFlag(argc, argv, "--store");
-  benchFlags.emplace_back("--via=");
-  benchFlags.emplace_back("--store=");
+  // Flags only runGrid honours: accepted here, while the runJobs benches
+  // reject them as unknown rather than silently ignore them.
+  for (const char* flag :
+       {"--deadline=", "--retries=", "--retry-backoff-ms=", "--isolate=",
+        "--fail-fast", "--inject-fault=", "--via=", "--store="}) {
+    benchFlags.emplace_back(flag);
+  }
   requireKnownFlags(argc, argv, std::move(benchFlags));
 
   GridRun run;

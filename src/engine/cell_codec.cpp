@@ -1,7 +1,9 @@
 #include "engine/cell_codec.hpp"
 
+#include <array>
 #include <bit>
 #include <cstdio>
+#include <utility>
 
 #include "support/fault.hpp"
 
@@ -11,472 +13,309 @@ using support::JsonValue;
 
 namespace {
 
-JsonValue bits(double value) {
-  return JsonValue(std::bit_cast<std::uint64_t>(value));
-}
+/// Writes each visited field into a JSON object, in visit order.
+class Encoder {
+ public:
+  explicit Encoder(JsonValue& out) : out_(out) {}
 
-double unbits(const JsonValue& value) {
-  return std::bit_cast<double>(value.asUint());
-}
-
-JsonValue encodeConfig(const Config& config) {
-  JsonValue out = JsonValue::object();
-  out.set("arch", JsonValue(static_cast<std::uint64_t>(config.arch)));
-  out.set("era", JsonValue(static_cast<std::uint64_t>(config.era)));
-  return out;
-}
-
-Config decodeConfig(const JsonValue& value) {
-  Config config;
-  config.arch = static_cast<Arch>(value.at("arch").asUint());
-  config.era = static_cast<kgen::CompilerEra>(value.at("era").asUint());
-  return config;
-}
-
-JsonValue encodeKernelBound(
-    const ThroughputBoundAnalyzer::KernelBound& bound) {
-  JsonValue out = JsonValue::object();
-  out.set("name", JsonValue(bound.name));
-  out.set("instructions", JsonValue(bound.instructions));
-  JsonValue ports = JsonValue::array();
-  for (const std::uint64_t cycles : bound.portCycles) {
-    ports.push(JsonValue(cycles));
+  template <class T>
+  void num(const char* name, const T& value) {
+    out_.set(name, JsonValue(static_cast<std::uint64_t>(value)));
   }
-  out.set("portCycles", std::move(ports));
-  out.set("portBound", JsonValue(bound.portBound));
-  out.set("bindingPort", JsonValue(bound.bindingPort));
-  out.set("issueBound", JsonValue(bound.issueBound));
-  out.set("cpBound", JsonValue(bound.cpBound));
-  return out;
+  void real(const char* name, double value) {
+    num(name, std::bit_cast<std::uint64_t>(value));
+  }
+  void str(const char* name, const std::string& value) {
+    out_.set(name, JsonValue(value));
+  }
+  bool flag(const char* name, bool value) {
+    out_.set(name, JsonValue(value));
+    return value;
+  }
+  /// Whether an optional field is written: only when the value has one.
+  bool present(const char* /*name*/, bool hasValue) { return hasValue; }
+
+  template <class Visit>
+  void object(const char* name, Visit&& visit) {
+    JsonValue child = JsonValue::object();
+    Encoder sub(child);
+    visit(sub);
+    out_.set(name, std::move(child));
+  }
+  template <class Seq>
+  void uints(const char* name, const Seq& values) {
+    JsonValue array = JsonValue::array();
+    for (const auto value : values) {
+      array.push(JsonValue(static_cast<std::uint64_t>(value)));
+    }
+    out_.set(name, std::move(array));
+  }
+  template <class T, class Visit>
+  void list(const char* name, const std::vector<T>& items, Visit&& visit) {
+    JsonValue array = JsonValue::array();
+    for (const T& item : items) {
+      JsonValue child = JsonValue::object();
+      Encoder sub(child);
+      visit(sub, item);
+      array.push(std::move(child));
+    }
+    out_.set(name, std::move(array));
+  }
+
+ private:
+  JsonValue& out_;
+};
+
+/// Reads each visited field back from a JSON object. Missing or mistyped
+/// fields throw ConfigError (JsonValue's typed accessors).
+class Decoder {
+ public:
+  explicit Decoder(const JsonValue& in) : in_(in) {}
+
+  template <class T>
+  void num(const char* name, T& value) {
+    value = static_cast<T>(in_.at(name).asUint());
+  }
+  void real(const char* name, double& value) {
+    value = std::bit_cast<double>(in_.at(name).asUint());
+  }
+  void str(const char* name, std::string& value) {
+    value = in_.at(name).asString();
+  }
+  bool flag(const char* name, bool& value) {
+    value = in_.at(name).asBool();
+    return value;
+  }
+  bool present(const char* name, bool /*hasValue*/) { return in_.has(name); }
+
+  template <class Visit>
+  void object(const char* name, Visit&& visit) {
+    Decoder sub(in_.at(name));
+    visit(sub);
+  }
+  template <class T>
+  void uints(const char* name, std::vector<T>& values) {
+    for (const JsonValue& item : in_.at(name).items()) {
+      values.push_back(static_cast<T>(item.asUint()));
+    }
+  }
+  /// Fixed-size arrays (instruction groups, fusion rules) must match the
+  /// decoding build's count; the input may come from another process.
+  template <class T, std::size_t N>
+  void uints(const char* name, std::array<T, N>& values) {
+    const auto& items = in_.at(name).items();
+    if (items.size() != N) {
+      throw ConfigError(std::string("cell codec: ") + name +
+                        " count mismatch");
+    }
+    for (std::size_t i = 0; i < N; ++i) {
+      values[i] = static_cast<T>(items[i].asUint());
+    }
+  }
+  template <class T, class Visit>
+  void list(const char* name, std::vector<T>& items, Visit&& visit) {
+    for (const JsonValue& item : in_.at(name).items()) {
+      Decoder sub(item);
+      visit(sub, items.emplace_back());
+    }
+  }
+
+ private:
+  const JsonValue& in_;
+};
+
+// The wire format, stated once. `Cell` is `const CellResult` for the
+// Encoder and `CellResult` for the Decoder; nested visitors take `auto&` so
+// they inherit that constness. Key order, the `has*`-gated blocks, and the
+// fields written only when set are all part of the format (kCodecV).
+
+template <class Io, class Named>
+void visitNamedCount(Io& io, Named& item) {
+  io.str("name", item.name);
+  io.num("count", item.count);
 }
 
-ThroughputBoundAnalyzer::KernelBound decodeKernelBound(
-    const JsonValue& value) {
-  ThroughputBoundAnalyzer::KernelBound bound;
-  bound.name = value.at("name").asString();
-  bound.instructions = value.at("instructions").asUint();
-  for (const JsonValue& cycles : value.at("portCycles").items()) {
-    bound.portCycles.push_back(cycles.asUint());
+template <class Io, class Bound>
+void visitKernelBound(Io& io, Bound& bound) {
+  io.str("name", bound.name);
+  io.num("instructions", bound.instructions);
+  io.uints("portCycles", bound.portCycles);
+  io.num("portBound", bound.portBound);
+  io.str("bindingPort", bound.bindingPort);
+  io.num("issueBound", bound.issueBound);
+  io.num("cpBound", bound.cpBound);
+}
+
+template <class Io, class Cell>
+void visitCell(Io& io, Cell& r) {
+  std::uint64_t version = kCodecV;
+  io.num("v", version);
+  if (version != kCodecV) {
+    throw ConfigError("cell codec: unsupported version " +
+                      std::to_string(version));
   }
-  bound.portBound = value.at("portBound").asUint();
-  bound.bindingPort = value.at("bindingPort").asString();
-  bound.issueBound = value.at("issueBound").asUint();
-  bound.cpBound = value.at("cpBound").asUint();
-  return bound;
+
+  io.object("key", [&](auto& key) {
+    key.str("workload", r.key.workload);
+    key.num("w", r.key.workloadIndex);
+    key.object("config", [&](auto& config) {
+      config.num("arch", r.key.config.arch);
+      config.num("era", r.key.config.era);
+    });
+    key.num("c", r.key.configIndex);
+  });
+  io.object("cell", [&](auto& status) {
+    status.str("name", r.cell.name);
+    if (!status.flag("ok", r.cell.ok)) {
+      status.str("kind", r.cell.kind);
+      status.str("summary", r.cell.summary);
+    }
+  });
+  if (io.present("faultText", !r.faultText.empty())) {
+    io.str("faultText", r.faultText);
+  }
+
+  io.num("instructions", r.instructions);
+  io.list("kernels", r.kernels,
+          [](auto& entry, auto& kernel) { visitNamedCount(entry, kernel); });
+  io.uints("groups", r.groups);
+  io.num("unattributed", r.unattributed);
+
+  io.num("criticalPath", r.criticalPath);
+  io.flag("hasScaledCp", r.hasScaledCp);
+  io.num("scaledCriticalPath", r.scaledCriticalPath);
+
+  io.list("windows", r.windows, [](auto& entry, auto& window) {
+    entry.num("size", window.windowSize);
+    entry.num("windows", window.windows);
+    entry.real("meanCp", window.meanCp);
+    entry.real("meanIlp", window.meanIlp);
+    entry.real("minCp", window.minCp);
+    entry.real("maxCp", window.maxCp);
+  });
+  io.object("deps", [&](auto& deps) {
+    deps.num("dependencies", r.deps.dependencies);
+    deps.real("meanDistance", r.deps.meanDistance);
+    deps.real("within4", r.deps.within4);
+    deps.real("within16", r.deps.within16);
+    deps.real("within64", r.deps.within64);
+  });
+
+  if (io.flag("hasCache", r.hasCache)) {
+    io.object("cache", [&](auto& cache) {
+      cache.num("loads", r.cache.loads);
+      cache.num("stores", r.cache.stores);
+      cache.num("l1Hits", r.cache.l1Hits);
+      cache.num("l1Misses", r.cache.l1Misses);
+      cache.num("l2Hits", r.cache.l2Hits);
+      cache.num("l2Misses", r.cache.l2Misses);
+      cache.num("writebacksToL2", r.cache.writebacksToL2);
+      cache.num("writebacksToMem", r.cache.writebacksToMem);
+      cache.num("prefetchesIssued", r.cache.prefetchesIssued);
+      cache.num("prefetchesUseful", r.cache.prefetchesUseful);
+      cache.num("prefetchFillsFromMem", r.cache.prefetchFillsFromMem);
+    });
+    io.num("cacheFootprintLines", r.cacheFootprintLines);
+    io.num("cacheLineSetDigest", r.cacheLineSetDigest);
+    io.list("cacheKernels", r.cacheKernels, [](auto& entry, auto& kernel) {
+      entry.str("name", kernel.name);
+      entry.num("instructions", kernel.instructions);
+      entry.num("loads", kernel.loads);
+      entry.num("stores", kernel.stores);
+      entry.num("l1Misses", kernel.l1Misses);
+      entry.num("l2Misses", kernel.l2Misses);
+      entry.num("footprintLines", kernel.footprintLines);
+      entry.num("lineSetDigest", kernel.lineSetDigest);
+    });
+  }
+  io.flag("hasCacheAwareCp", r.hasCacheAwareCp);
+  io.num("cacheAwareCriticalPath", r.cacheAwareCriticalPath);
+
+  if (io.flag("hasThroughput", r.hasThroughput)) {
+    io.object("throughputProgram", [&](auto& program) {
+      visitKernelBound(program, r.throughputProgram);
+    });
+    io.list("throughputKernels", r.throughputKernels,
+            [](auto& entry, auto& kernel) { visitKernelBound(entry, kernel); });
+  }
+
+  if (io.flag("hasFusion", r.hasFusion)) {
+    io.num("fusedInstructions", r.fusedInstructions);
+    io.num("fusionPairs", r.fusionPairs);
+    io.uints("fusionPairsByRule", r.fusionPairsByRule);
+    io.num("fusionUnattributedPairs", r.fusionUnattributedPairs);
+    io.list("fusionKernels", r.fusionKernels, [](auto& entry, auto& kernel) {
+      entry.str("name", kernel.name);
+      entry.num("pairs", kernel.pairs);
+      entry.uints("byRule", kernel.byRule);
+    });
+    io.list("fusedKernels", r.fusedKernels,
+            [](auto& entry, auto& kernel) { visitNamedCount(entry, kernel); });
+    io.num("fusedCriticalPath", r.fusedCriticalPath);
+    io.flag("hasFusedScaledCp", r.hasFusedScaledCp);
+    io.num("fusedScaledCriticalPath", r.fusedScaledCriticalPath);
+  }
+
+  if (io.flag("hasMemSystem", r.hasMemSystem)) {
+    io.object("memSystem", [&](auto& mem) {
+      mem.object("tlb", [&](auto& tlb) {
+        tlb.num("accesses", r.memSystem.tlb.accesses);
+        tlb.num("l1Hits", r.memSystem.tlb.l1Hits);
+        tlb.num("l1Misses", r.memSystem.tlb.l1Misses);
+        tlb.num("l2Hits", r.memSystem.tlb.l2Hits);
+        tlb.num("walks", r.memSystem.tlb.walks);
+        tlb.num("walkCycles", r.memSystem.tlb.walkCycles);
+      });
+      mem.num("footprintPages", r.memSystem.footprintPages);
+      mem.num("pageSetDigest", r.memSystem.pageSetDigest);
+      mem.num("demandFillBytes", r.memSystem.demandFillBytes);
+      mem.num("prefetchFillBytes", r.memSystem.prefetchFillBytes);
+      mem.num("writebackBytes", r.memSystem.writebackBytes);
+      mem.num("missCycles", r.memSystem.missCycles);
+      mem.num("mshrBoundCycles", r.memSystem.mshrBoundCycles);
+      mem.num("bandwidthBoundCycles", r.memSystem.bandwidthBoundCycles);
+    });
+    io.list("memKernels", r.memKernels, [](auto& entry, auto& kernel) {
+      entry.str("name", kernel.name);
+      entry.num("instructions", kernel.instructions);
+      entry.num("tlbAccesses", kernel.tlbAccesses);
+      entry.num("tlbWalks", kernel.tlbWalks);
+      entry.num("footprintPages", kernel.footprintPages);
+      entry.num("pageSetDigest", kernel.pageSetDigest);
+    });
+    io.list("memScaling", r.memScaling, [](auto& entry, auto& point) {
+      entry.num("cores", point.cores);
+      entry.list("perCore", point.perCore, [](auto& core, auto& share) {
+        core.num("accesses", share.accesses);
+        core.num("l1Misses", share.l1Misses);
+        core.num("l2Hits", share.l2Hits);
+        core.num("l2Misses", share.l2Misses);
+        core.num("latencyCycles", share.latencyCycles);
+      });
+      entry.num("sharedL2Accesses", point.sharedL2Accesses);
+      entry.num("sharedL2Hits", point.sharedL2Hits);
+      entry.num("sharedL2Misses", point.sharedL2Misses);
+      entry.num("sharedWritebacksToMem", point.sharedWritebacksToMem);
+      entry.num("bytesFromMem", point.bytesFromMem);
+      entry.num("bandwidthBoundCycles", point.bandwidthBoundCycles);
+      entry.num("mshrBoundCycles", point.mshrBoundCycles);
+    });
+  }
 }
 
 }  // namespace
 
 JsonValue encodeCell(const CellResult& result) {
   JsonValue out = JsonValue::object();
-  out.set("v", JsonValue(kCodecV));
-
-  JsonValue key = JsonValue::object();
-  key.set("workload", JsonValue(result.key.workload));
-  key.set("w", JsonValue(static_cast<std::uint64_t>(result.key.workloadIndex)));
-  key.set("config", encodeConfig(result.key.config));
-  key.set("c", JsonValue(static_cast<std::uint64_t>(result.key.configIndex)));
-  out.set("key", std::move(key));
-
-  JsonValue status = JsonValue::object();
-  status.set("name", JsonValue(result.cell.name));
-  status.set("ok", JsonValue(result.cell.ok));
-  if (!result.cell.ok) {
-    status.set("kind", JsonValue(result.cell.kind));
-    status.set("summary", JsonValue(result.cell.summary));
-  }
-  out.set("cell", std::move(status));
-  if (!result.faultText.empty()) {
-    out.set("faultText", JsonValue(result.faultText));
-  }
-
-  out.set("instructions", JsonValue(result.instructions));
-
-  JsonValue kernels = JsonValue::array();
-  for (const auto& kernel : result.kernels) {
-    JsonValue entry = JsonValue::object();
-    entry.set("name", JsonValue(kernel.name));
-    entry.set("count", JsonValue(kernel.count));
-    kernels.push(std::move(entry));
-  }
-  out.set("kernels", std::move(kernels));
-
-  JsonValue groups = JsonValue::array();
-  for (const std::uint64_t count : result.groups) groups.push(JsonValue(count));
-  out.set("groups", std::move(groups));
-  out.set("unattributed", JsonValue(result.unattributed));
-
-  out.set("criticalPath", JsonValue(result.criticalPath));
-  out.set("hasScaledCp", JsonValue(result.hasScaledCp));
-  out.set("scaledCriticalPath", JsonValue(result.scaledCriticalPath));
-
-  JsonValue windows = JsonValue::array();
-  for (const auto& window : result.windows) {
-    JsonValue entry = JsonValue::object();
-    entry.set("size", JsonValue(static_cast<std::uint64_t>(window.windowSize)));
-    entry.set("windows", JsonValue(window.windows));
-    entry.set("meanCp", bits(window.meanCp));
-    entry.set("meanIlp", bits(window.meanIlp));
-    entry.set("minCp", bits(window.minCp));
-    entry.set("maxCp", bits(window.maxCp));
-    windows.push(std::move(entry));
-  }
-  out.set("windows", std::move(windows));
-
-  JsonValue deps = JsonValue::object();
-  deps.set("dependencies", JsonValue(result.deps.dependencies));
-  deps.set("meanDistance", bits(result.deps.meanDistance));
-  deps.set("within4", bits(result.deps.within4));
-  deps.set("within16", bits(result.deps.within16));
-  deps.set("within64", bits(result.deps.within64));
-  out.set("deps", std::move(deps));
-
-  out.set("hasCache", JsonValue(result.hasCache));
-  if (result.hasCache) {
-    JsonValue cache = JsonValue::object();
-    cache.set("loads", JsonValue(result.cache.loads));
-    cache.set("stores", JsonValue(result.cache.stores));
-    cache.set("l1Hits", JsonValue(result.cache.l1Hits));
-    cache.set("l1Misses", JsonValue(result.cache.l1Misses));
-    cache.set("l2Hits", JsonValue(result.cache.l2Hits));
-    cache.set("l2Misses", JsonValue(result.cache.l2Misses));
-    cache.set("writebacksToL2", JsonValue(result.cache.writebacksToL2));
-    cache.set("writebacksToMem", JsonValue(result.cache.writebacksToMem));
-    cache.set("prefetchesIssued", JsonValue(result.cache.prefetchesIssued));
-    cache.set("prefetchesUseful", JsonValue(result.cache.prefetchesUseful));
-    cache.set("prefetchFillsFromMem",
-              JsonValue(result.cache.prefetchFillsFromMem));
-    out.set("cache", std::move(cache));
-    out.set("cacheFootprintLines", JsonValue(result.cacheFootprintLines));
-    out.set("cacheLineSetDigest", JsonValue(result.cacheLineSetDigest));
-
-    JsonValue cacheKernels = JsonValue::array();
-    for (const auto& kernel : result.cacheKernels) {
-      JsonValue entry = JsonValue::object();
-      entry.set("name", JsonValue(kernel.name));
-      entry.set("instructions", JsonValue(kernel.instructions));
-      entry.set("loads", JsonValue(kernel.loads));
-      entry.set("stores", JsonValue(kernel.stores));
-      entry.set("l1Misses", JsonValue(kernel.l1Misses));
-      entry.set("l2Misses", JsonValue(kernel.l2Misses));
-      entry.set("footprintLines", JsonValue(kernel.footprintLines));
-      entry.set("lineSetDigest", JsonValue(kernel.lineSetDigest));
-      cacheKernels.push(std::move(entry));
-    }
-    out.set("cacheKernels", std::move(cacheKernels));
-  }
-  out.set("hasCacheAwareCp", JsonValue(result.hasCacheAwareCp));
-  out.set("cacheAwareCriticalPath", JsonValue(result.cacheAwareCriticalPath));
-
-  out.set("hasThroughput", JsonValue(result.hasThroughput));
-  if (result.hasThroughput) {
-    out.set("throughputProgram", encodeKernelBound(result.throughputProgram));
-    JsonValue kernelsOut = JsonValue::array();
-    for (const auto& kernel : result.throughputKernels) {
-      kernelsOut.push(encodeKernelBound(kernel));
-    }
-    out.set("throughputKernels", std::move(kernelsOut));
-  }
-
-  out.set("hasFusion", JsonValue(result.hasFusion));
-  if (result.hasFusion) {
-    out.set("fusedInstructions", JsonValue(result.fusedInstructions));
-    out.set("fusionPairs", JsonValue(result.fusionPairs));
-    JsonValue byRule = JsonValue::array();
-    for (const std::uint64_t count : result.fusionPairsByRule) {
-      byRule.push(JsonValue(count));
-    }
-    out.set("fusionPairsByRule", std::move(byRule));
-    out.set("fusionUnattributedPairs",
-            JsonValue(result.fusionUnattributedPairs));
-    JsonValue fusionKernels = JsonValue::array();
-    for (const auto& kernel : result.fusionKernels) {
-      JsonValue entry = JsonValue::object();
-      entry.set("name", JsonValue(kernel.name));
-      entry.set("pairs", JsonValue(kernel.pairs));
-      JsonValue kernelByRule = JsonValue::array();
-      for (const std::uint64_t count : kernel.byRule) {
-        kernelByRule.push(JsonValue(count));
-      }
-      entry.set("byRule", std::move(kernelByRule));
-      fusionKernels.push(std::move(entry));
-    }
-    out.set("fusionKernels", std::move(fusionKernels));
-    JsonValue fusedKernels = JsonValue::array();
-    for (const auto& kernel : result.fusedKernels) {
-      JsonValue entry = JsonValue::object();
-      entry.set("name", JsonValue(kernel.name));
-      entry.set("count", JsonValue(kernel.count));
-      fusedKernels.push(std::move(entry));
-    }
-    out.set("fusedKernels", std::move(fusedKernels));
-    out.set("fusedCriticalPath", JsonValue(result.fusedCriticalPath));
-    out.set("hasFusedScaledCp", JsonValue(result.hasFusedScaledCp));
-    out.set("fusedScaledCriticalPath",
-            JsonValue(result.fusedScaledCriticalPath));
-  }
-
-  out.set("hasMemSystem", JsonValue(result.hasMemSystem));
-  if (result.hasMemSystem) {
-    JsonValue mem = JsonValue::object();
-    JsonValue tlb = JsonValue::object();
-    tlb.set("accesses", JsonValue(result.memSystem.tlb.accesses));
-    tlb.set("l1Hits", JsonValue(result.memSystem.tlb.l1Hits));
-    tlb.set("l1Misses", JsonValue(result.memSystem.tlb.l1Misses));
-    tlb.set("l2Hits", JsonValue(result.memSystem.tlb.l2Hits));
-    tlb.set("walks", JsonValue(result.memSystem.tlb.walks));
-    tlb.set("walkCycles", JsonValue(result.memSystem.tlb.walkCycles));
-    mem.set("tlb", std::move(tlb));
-    mem.set("footprintPages", JsonValue(result.memSystem.footprintPages));
-    mem.set("pageSetDigest", JsonValue(result.memSystem.pageSetDigest));
-    mem.set("demandFillBytes", JsonValue(result.memSystem.demandFillBytes));
-    mem.set("prefetchFillBytes",
-            JsonValue(result.memSystem.prefetchFillBytes));
-    mem.set("writebackBytes", JsonValue(result.memSystem.writebackBytes));
-    mem.set("missCycles", JsonValue(result.memSystem.missCycles));
-    mem.set("mshrBoundCycles", JsonValue(result.memSystem.mshrBoundCycles));
-    mem.set("bandwidthBoundCycles",
-            JsonValue(result.memSystem.bandwidthBoundCycles));
-    out.set("memSystem", std::move(mem));
-
-    JsonValue memKernels = JsonValue::array();
-    for (const auto& kernel : result.memKernels) {
-      JsonValue entry = JsonValue::object();
-      entry.set("name", JsonValue(kernel.name));
-      entry.set("instructions", JsonValue(kernel.instructions));
-      entry.set("tlbAccesses", JsonValue(kernel.tlbAccesses));
-      entry.set("tlbWalks", JsonValue(kernel.tlbWalks));
-      entry.set("footprintPages", JsonValue(kernel.footprintPages));
-      entry.set("pageSetDigest", JsonValue(kernel.pageSetDigest));
-      memKernels.push(std::move(entry));
-    }
-    out.set("memKernels", std::move(memKernels));
-
-    JsonValue scaling = JsonValue::array();
-    for (const auto& point : result.memScaling) {
-      JsonValue entry = JsonValue::object();
-      entry.set("cores", JsonValue(static_cast<std::uint64_t>(point.cores)));
-      JsonValue perCore = JsonValue::array();
-      for (const auto& share : point.perCore) {
-        JsonValue coreEntry = JsonValue::object();
-        coreEntry.set("accesses", JsonValue(share.accesses));
-        coreEntry.set("l1Misses", JsonValue(share.l1Misses));
-        coreEntry.set("l2Hits", JsonValue(share.l2Hits));
-        coreEntry.set("l2Misses", JsonValue(share.l2Misses));
-        coreEntry.set("latencyCycles", JsonValue(share.latencyCycles));
-        perCore.push(std::move(coreEntry));
-      }
-      entry.set("perCore", std::move(perCore));
-      entry.set("sharedL2Accesses", JsonValue(point.sharedL2Accesses));
-      entry.set("sharedL2Hits", JsonValue(point.sharedL2Hits));
-      entry.set("sharedL2Misses", JsonValue(point.sharedL2Misses));
-      entry.set("sharedWritebacksToMem",
-                JsonValue(point.sharedWritebacksToMem));
-      entry.set("bytesFromMem", JsonValue(point.bytesFromMem));
-      entry.set("bandwidthBoundCycles",
-                JsonValue(point.bandwidthBoundCycles));
-      entry.set("mshrBoundCycles", JsonValue(point.mshrBoundCycles));
-      scaling.push(std::move(entry));
-    }
-    out.set("memScaling", std::move(scaling));
-  }
-
+  Encoder encoder(out);
+  visitCell(encoder, result);
   return out;
 }
 
 CellResult decodeCell(const JsonValue& value) {
-  if (value.at("v").asUint() != kCodecV) {
-    throw ConfigError("cell codec: unsupported version " +
-                      std::to_string(value.at("v").asUint()));
-  }
   CellResult result;
-
-  const JsonValue& key = value.at("key");
-  result.key.workload = key.at("workload").asString();
-  result.key.workloadIndex = key.at("w").asUint();
-  result.key.config = decodeConfig(key.at("config"));
-  result.key.configIndex = key.at("c").asUint();
-
-  const JsonValue& status = value.at("cell");
-  result.cell.name = status.at("name").asString();
-  result.cell.ok = status.at("ok").asBool();
-  if (!result.cell.ok) {
-    result.cell.kind = status.at("kind").asString();
-    result.cell.summary = status.at("summary").asString();
-  }
-  if (value.has("faultText")) {
-    result.faultText = value.at("faultText").asString();
-  }
-
-  result.instructions = value.at("instructions").asUint();
-
-  for (const JsonValue& entry : value.at("kernels").items()) {
-    result.kernels.push_back(
-        {entry.at("name").asString(), entry.at("count").asUint()});
-  }
-
-  const auto& groups = value.at("groups").items();
-  if (groups.size() != result.groups.size()) {
-    throw ConfigError("cell codec: group-count mismatch");
-  }
-  for (std::size_t g = 0; g < groups.size(); ++g) {
-    result.groups[g] = groups[g].asUint();
-  }
-  result.unattributed = value.at("unattributed").asUint();
-
-  result.criticalPath = value.at("criticalPath").asUint();
-  result.hasScaledCp = value.at("hasScaledCp").asBool();
-  result.scaledCriticalPath = value.at("scaledCriticalPath").asUint();
-
-  for (const JsonValue& entry : value.at("windows").items()) {
-    WindowedCPAnalyzer::WindowResult window;
-    window.windowSize = static_cast<std::uint32_t>(entry.at("size").asUint());
-    window.windows = entry.at("windows").asUint();
-    window.meanCp = unbits(entry.at("meanCp"));
-    window.meanIlp = unbits(entry.at("meanIlp"));
-    window.minCp = unbits(entry.at("minCp"));
-    window.maxCp = unbits(entry.at("maxCp"));
-    result.windows.push_back(window);
-  }
-
-  const JsonValue& deps = value.at("deps");
-  result.deps.dependencies = deps.at("dependencies").asUint();
-  result.deps.meanDistance = unbits(deps.at("meanDistance"));
-  result.deps.within4 = unbits(deps.at("within4"));
-  result.deps.within16 = unbits(deps.at("within16"));
-  result.deps.within64 = unbits(deps.at("within64"));
-
-  result.hasCache = value.at("hasCache").asBool();
-  if (result.hasCache) {
-    const JsonValue& cache = value.at("cache");
-    result.cache.loads = cache.at("loads").asUint();
-    result.cache.stores = cache.at("stores").asUint();
-    result.cache.l1Hits = cache.at("l1Hits").asUint();
-    result.cache.l1Misses = cache.at("l1Misses").asUint();
-    result.cache.l2Hits = cache.at("l2Hits").asUint();
-    result.cache.l2Misses = cache.at("l2Misses").asUint();
-    result.cache.writebacksToL2 = cache.at("writebacksToL2").asUint();
-    result.cache.writebacksToMem = cache.at("writebacksToMem").asUint();
-    result.cache.prefetchesIssued = cache.at("prefetchesIssued").asUint();
-    result.cache.prefetchesUseful = cache.at("prefetchesUseful").asUint();
-    result.cache.prefetchFillsFromMem =
-        cache.at("prefetchFillsFromMem").asUint();
-    result.cacheFootprintLines = value.at("cacheFootprintLines").asUint();
-    result.cacheLineSetDigest = value.at("cacheLineSetDigest").asUint();
-    for (const JsonValue& entry : value.at("cacheKernels").items()) {
-      uarch::mem::CacheModelAnalyzer::KernelStats kernel;
-      kernel.name = entry.at("name").asString();
-      kernel.instructions = entry.at("instructions").asUint();
-      kernel.loads = entry.at("loads").asUint();
-      kernel.stores = entry.at("stores").asUint();
-      kernel.l1Misses = entry.at("l1Misses").asUint();
-      kernel.l2Misses = entry.at("l2Misses").asUint();
-      kernel.footprintLines = entry.at("footprintLines").asUint();
-      kernel.lineSetDigest = entry.at("lineSetDigest").asUint();
-      result.cacheKernels.push_back(std::move(kernel));
-    }
-  }
-  result.hasCacheAwareCp = value.at("hasCacheAwareCp").asBool();
-  result.cacheAwareCriticalPath = value.at("cacheAwareCriticalPath").asUint();
-
-  result.hasThroughput = value.at("hasThroughput").asBool();
-  if (result.hasThroughput) {
-    result.throughputProgram =
-        decodeKernelBound(value.at("throughputProgram"));
-    for (const JsonValue& entry : value.at("throughputKernels").items()) {
-      result.throughputKernels.push_back(decodeKernelBound(entry));
-    }
-  }
-
-  result.hasFusion = value.at("hasFusion").asBool();
-  if (result.hasFusion) {
-    result.fusedInstructions = value.at("fusedInstructions").asUint();
-    result.fusionPairs = value.at("fusionPairs").asUint();
-    const auto& byRule = value.at("fusionPairsByRule").items();
-    if (byRule.size() != result.fusionPairsByRule.size()) {
-      throw ConfigError("cell codec: fusion rule-count mismatch");
-    }
-    for (std::size_t r = 0; r < byRule.size(); ++r) {
-      result.fusionPairsByRule[r] = byRule[r].asUint();
-    }
-    result.fusionUnattributedPairs =
-        value.at("fusionUnattributedPairs").asUint();
-    for (const JsonValue& entry : value.at("fusionKernels").items()) {
-      uarch::FusionPass::KernelFusion kernel;
-      kernel.name = entry.at("name").asString();
-      kernel.pairs = entry.at("pairs").asUint();
-      const auto& kernelByRule = entry.at("byRule").items();
-      if (kernelByRule.size() != kernel.byRule.size()) {
-        throw ConfigError("cell codec: fusion rule-count mismatch");
-      }
-      for (std::size_t r = 0; r < kernelByRule.size(); ++r) {
-        kernel.byRule[r] = kernelByRule[r].asUint();
-      }
-      result.fusionKernels.push_back(std::move(kernel));
-    }
-    for (const JsonValue& entry : value.at("fusedKernels").items()) {
-      result.fusedKernels.push_back(
-          {entry.at("name").asString(), entry.at("count").asUint()});
-    }
-    result.fusedCriticalPath = value.at("fusedCriticalPath").asUint();
-    result.hasFusedScaledCp = value.at("hasFusedScaledCp").asBool();
-    result.fusedScaledCriticalPath =
-        value.at("fusedScaledCriticalPath").asUint();
-  }
-
-  result.hasMemSystem = value.at("hasMemSystem").asBool();
-  if (result.hasMemSystem) {
-    const JsonValue& mem = value.at("memSystem");
-    const JsonValue& tlb = mem.at("tlb");
-    result.memSystem.tlb.accesses = tlb.at("accesses").asUint();
-    result.memSystem.tlb.l1Hits = tlb.at("l1Hits").asUint();
-    result.memSystem.tlb.l1Misses = tlb.at("l1Misses").asUint();
-    result.memSystem.tlb.l2Hits = tlb.at("l2Hits").asUint();
-    result.memSystem.tlb.walks = tlb.at("walks").asUint();
-    result.memSystem.tlb.walkCycles = tlb.at("walkCycles").asUint();
-    result.memSystem.footprintPages = mem.at("footprintPages").asUint();
-    result.memSystem.pageSetDigest = mem.at("pageSetDigest").asUint();
-    result.memSystem.demandFillBytes = mem.at("demandFillBytes").asUint();
-    result.memSystem.prefetchFillBytes = mem.at("prefetchFillBytes").asUint();
-    result.memSystem.writebackBytes = mem.at("writebackBytes").asUint();
-    result.memSystem.missCycles = mem.at("missCycles").asUint();
-    result.memSystem.mshrBoundCycles = mem.at("mshrBoundCycles").asUint();
-    result.memSystem.bandwidthBoundCycles =
-        mem.at("bandwidthBoundCycles").asUint();
-    for (const JsonValue& entry : value.at("memKernels").items()) {
-      uarch::mem::MemKernelStats kernel;
-      kernel.name = entry.at("name").asString();
-      kernel.instructions = entry.at("instructions").asUint();
-      kernel.tlbAccesses = entry.at("tlbAccesses").asUint();
-      kernel.tlbWalks = entry.at("tlbWalks").asUint();
-      kernel.footprintPages = entry.at("footprintPages").asUint();
-      kernel.pageSetDigest = entry.at("pageSetDigest").asUint();
-      result.memKernels.push_back(std::move(kernel));
-    }
-    for (const JsonValue& entry : value.at("memScaling").items()) {
-      uarch::mem::ScalingPoint point;
-      point.cores = static_cast<std::uint32_t>(entry.at("cores").asUint());
-      for (const JsonValue& coreEntry : entry.at("perCore").items()) {
-        uarch::mem::CoreShare share;
-        share.accesses = coreEntry.at("accesses").asUint();
-        share.l1Misses = coreEntry.at("l1Misses").asUint();
-        share.l2Hits = coreEntry.at("l2Hits").asUint();
-        share.l2Misses = coreEntry.at("l2Misses").asUint();
-        share.latencyCycles = coreEntry.at("latencyCycles").asUint();
-        point.perCore.push_back(share);
-      }
-      point.sharedL2Accesses = entry.at("sharedL2Accesses").asUint();
-      point.sharedL2Hits = entry.at("sharedL2Hits").asUint();
-      point.sharedL2Misses = entry.at("sharedL2Misses").asUint();
-      point.sharedWritebacksToMem =
-          entry.at("sharedWritebacksToMem").asUint();
-      point.bytesFromMem = entry.at("bytesFromMem").asUint();
-      point.bandwidthBoundCycles = entry.at("bandwidthBoundCycles").asUint();
-      point.mshrBoundCycles = entry.at("mshrBoundCycles").asUint();
-      result.memScaling.push_back(std::move(point));
-    }
-  }
-
+  Decoder decoder(value);
+  visitCell(decoder, result);
   return result;
 }
 

@@ -11,7 +11,6 @@
 #include "analysis/dep_distance.hpp"
 #include "core/machine.hpp"
 #include "engine/cell_codec.hpp"
-#include "engine/journal.hpp"
 #include "engine/process_worker.hpp"
 #include "engine/result_store.hpp"
 #include "support/fault.hpp"
@@ -39,7 +38,6 @@ std::string describe(const EngineStats& stats) {
   out << "engine: " << stats.compiles << " compiles (+" << stats.cacheHits
       << " cached), " << stats.simulations << " simulations, jobs="
       << stats.jobs;
-  if (stats.resumed != 0) out << ", resumed=" << stats.resumed;
   if (stats.storeHits != 0) out << ", store-hits=" << stats.storeHits;
   return out.str();
 }
@@ -246,8 +244,6 @@ void ExperimentEngine::runCellAttempt(
 
 namespace {
 
-using Clock = std::chrono::steady_clock;
-
 std::uint32_t deadlineMillis(double seconds) {
   if (seconds <= 0.0) return 0;
   double ms = seconds * 1000.0;
@@ -255,13 +251,6 @@ std::uint32_t deadlineMillis(double seconds) {
   const double cap = 4294967295.0;
   if (ms > cap) ms = cap;
   return static_cast<std::uint32_t>(ms);
-}
-
-std::uint64_t elapsedMicros(Clock::time_point start) {
-  return static_cast<std::uint64_t>(
-      std::chrono::duration_cast<std::chrono::microseconds>(Clock::now() -
-                                                            start)
-          .count());
 }
 
 CellKey keyForIndex(const std::vector<workloads::WorkloadSpec>& suite,
@@ -287,23 +276,6 @@ void markSkipped(CellResult& out,
                      "earlier cell failed";
 }
 
-JournalHeader gridHeader(const std::vector<workloads::WorkloadSpec>& suite,
-                         const std::vector<Config>& configs,
-                         const EngineOptions& options) {
-  JournalHeader header;
-  header.workloads.reserve(suite.size());
-  for (const workloads::WorkloadSpec& spec : suite) {
-    header.workloads.push_back(spec.name);
-  }
-  header.configs.reserve(configs.size());
-  for (const Config& config : configs) {
-    header.configs.push_back(configName(config));
-  }
-  header.budget = options.budget;
-  header.analyses = options.analyses;
-  return header;
-}
-
 }  // namespace
 
 GridResult ExperimentEngine::runGrid(
@@ -316,49 +288,21 @@ GridResult ExperimentEngine::runGrid(
   const std::size_t count = grid.cells.size();
 
   std::vector<std::string> names(count);
-  std::vector<std::string> fingerprints(count);
   for (std::size_t index = 0; index < count; ++index) {
-    const std::size_t w = index / configs.size();
-    const std::size_t c = index % configs.size();
-    names[index] = suite[w].name + "/" + configName(configs[c]);
-    // The cache key is the full module dump; journal entries store its
-    // FNV digest instead so a 20-cell journal stays kilobytes, not MBs.
-    fingerprints[index] = digestHex(fnv1a64(CompileCache::fingerprint(
-        suite[w].module, configs[c].arch, configs[c].era)));
+    names[index] = suite[index / configs.size()].name + "/" +
+                   configName(configs[index % configs.size()]);
   }
 
-  const JournalHeader header = gridHeader(suite, configs, options_);
-
-  // Resume: reuse every journal cell whose grid identity, compile
-  // fingerprint, and result digest all check out. ok=false entries are
-  // deliberately not reused — a resumed run re-executes failed cells.
+  // Result-store read-through, the engine's only way to skip a cell: any
+  // cell whose content key is already stored is served without compiling
+  // or simulating. Only ok cells are ever stored, so a rerun after a crash
+  // recomputes exactly the cells that failed. The stored record came from
+  // some grid whose cell position may differ, so its grid-relative
+  // identity (key indices, boundary name) is rebound to this grid;
+  // everything the simulation produced is position-independent.
   std::vector<char> done(count, 0);
-  if (!options_.resumeFrom.empty()) {
-    const RunJournal::Loaded loaded = RunJournal::load(options_.resumeFrom);
-    if (loaded.hasHeader && !(loaded.header == header)) {
-      throw ConfigError("--resume: journal was written for a different grid "
-                        "(workloads, configs, budget, or analyses differ)",
-                        options_.resumeFrom);
-    }
-    for (std::size_t index = 0; index < count; ++index) {
-      const auto it = loaded.entries.find(names[index]);
-      if (it == loaded.entries.end()) continue;
-      if (!it->second.result.cell.ok) continue;
-      if (it->second.fingerprint != fingerprints[index]) continue;
-      grid.cells[index] = it->second.result;
-      done[index] = 1;
-      resumed_.fetch_add(1, std::memory_order_relaxed);
-    }
-  }
-
-  // Result-store read-through (ISSUE 9): any remaining cell whose content
-  // key is already stored is served without compiling or simulating. The
-  // stored record came from some grid whose cell position may differ, so
-  // its grid-relative identity (key indices, boundary name) is rebound to
-  // this grid; everything the simulation produced is position-independent.
   if (options_.resultStore && options_.storeKeyFor) {
     for (std::size_t index = 0; index < count; ++index) {
-      if (done[index] != 0) continue;
       const CellKey key = keyForIndex(suite, configs, index);
       std::optional<CellResult> stored =
           options_.resultStore->load(options_.storeKeyFor(key));
@@ -371,31 +315,11 @@ GridResult ExperimentEngine::runGrid(
     }
   }
 
-  const std::string journalPath =
-      options_.journalPath.empty() ? options_.resumeFrom
-                                   : options_.journalPath;
-  std::unique_ptr<RunJournal> journal;
-  if (!journalPath.empty()) {
-    journal = std::make_unique<RunJournal>(journalPath, header);
-  }
-
   const std::uint32_t deadlineMs = deadlineMillis(options_.deadlineSeconds);
   if (options_.isolate == IsolationMode::Process) {
-    runGridProcess(grid, suite, configs, names, fingerprints, done,
-                   deadlineMs, journal.get());
+    runGridProcess(grid, suite, configs, names, done, deadlineMs);
   } else {
-    runGridThread(grid, suite, configs, names, fingerprints, done,
-                  deadlineMs, journal.get());
-  }
-
-  if (journal) {
-    std::vector<JournalEntry> entries;
-    entries.reserve(count);
-    for (std::size_t index = 0; index < count; ++index) {
-      entries.push_back(
-          JournalEntry{names[index], fingerprints[index], grid.cells[index]});
-    }
-    journal->finalize(entries);
+    runGridThread(grid, suite, configs, names, done, deadlineMs);
   }
   return grid;
 }
@@ -403,9 +327,7 @@ GridResult ExperimentEngine::runGrid(
 void ExperimentEngine::runGridThread(
     GridResult& grid, const std::vector<workloads::WorkloadSpec>& suite,
     const std::vector<Config>& configs, const std::vector<std::string>& names,
-    const std::vector<std::string>& fingerprints,
-    const std::vector<char>& done, std::uint32_t deadlineMs,
-    RunJournal* journal) {
+    const std::vector<char>& done, std::uint32_t deadlineMs) {
   std::atomic<bool> anyFailed{false};
 
   scheduler_.run(grid.cells.size(), [&](std::size_t index) {
@@ -416,7 +338,6 @@ void ExperimentEngine::runGridThread(
       return;
     }
 
-    const auto start = Clock::now();
     unsigned attempt = 0;
     for (;;) {
       out = CellResult{};
@@ -439,14 +360,9 @@ void ExperimentEngine::runGridThread(
 
     if (!out.cell.ok) anyFailed.store(true, std::memory_order_release);
     // Write-through: only ok cells persist — failures are re-attempted by
-    // whoever asks for the cell next, like the journal's resume contract.
+    // whoever asks for the cell next.
     if (out.cell.ok && options_.resultStore && options_.storeKeyFor) {
       options_.resultStore->store(options_.storeKeyFor(out.key), out);
-    }
-    if (journal != nullptr) {
-      journal->append(
-          JournalEntry{names[index], fingerprints[index], out},
-          elapsedMicros(start), attempt);
     }
   });
 }
@@ -454,9 +370,7 @@ void ExperimentEngine::runGridThread(
 void ExperimentEngine::runGridProcess(
     GridResult& grid, const std::vector<workloads::WorkloadSpec>& suite,
     const std::vector<Config>& configs, const std::vector<std::string>& names,
-    const std::vector<std::string>& fingerprints,
-    const std::vector<char>& done, std::uint32_t deadlineMs,
-    RunJournal* journal) {
+    const std::vector<char>& done, std::uint32_t deadlineMs) {
   std::vector<std::size_t> pending;
   for (std::size_t index = 0; index < grid.cells.size(); ++index) {
     if (done[index] == 0) pending.push_back(index);
@@ -547,10 +461,6 @@ void ExperimentEngine::runGridProcess(
     if (out.cell.ok && options_.resultStore && options_.storeKeyFor) {
       options_.resultStore->store(options_.storeKeyFor(out.key), out);
     }
-    if (journal != nullptr) {
-      journal->append(JournalEntry{names[index], fingerprints[index], out},
-                      outcome.elapsedUs, outcome.attempt);
-    }
     return out.cell.ok;
   };
 
@@ -559,11 +469,6 @@ void ExperimentEngine::runGridProcess(
   for (const std::size_t task : skipped) {
     const std::size_t index = pending[task];
     markSkipped(grid.cells[index], suite, configs, index, names[index]);
-    if (journal != nullptr) {
-      journal->append(
-          JournalEntry{names[index], fingerprints[index], grid.cells[index]},
-          0, 0);
-    }
   }
 }
 
@@ -596,7 +501,6 @@ EngineStats ExperimentEngine::stats() const {
   stats.cacheHits =
       cache_->hits() + childHits_.load(std::memory_order_relaxed);
   stats.simulations = simulations_.load(std::memory_order_relaxed);
-  stats.resumed = resumed_.load(std::memory_order_relaxed);
   stats.storeHits = storeHits_.load(std::memory_order_relaxed);
   stats.jobs = scheduler_.jobs();
   return stats;

@@ -29,12 +29,14 @@
 //  - process-sandboxed workers (--isolate=process): each cell runs in a
 //    forked subprocess speaking the cell_codec pipe protocol, so a
 //    SIGSEGV/SIGKILL/OOM inside one cell becomes a CrashFault record while
-//    the rest of the grid completes (process_worker.hpp),
-//  - a crash-durable run journal with --resume (journal.hpp): completed
-//    cells are skipped on resume and their stored results reproduce a
-//    byte-identical report.
+//    the rest of the grid completes (process_worker.hpp).
+// Completed cells are skipped through the result store alone
+// (result_store.hpp): each ok cell is written atomically as it finishes,
+// so rerunning a crashed grid with the same store recomputes exactly the
+// cells that failed or never ran, and the stored results reproduce a
+// byte-identical report.
 // These apply to runGrid only; runJobs RawJob closures cannot be
-// serialized across a process boundary or journaled generically.
+// serialized across a process boundary or stored generically.
 #pragma once
 
 #include <array>
@@ -269,18 +271,12 @@ struct EngineOptions {
   /// Stop scheduling new cells after the first failed cell; cells never
   /// started are recorded as skipped (ok=false, kind "skipped").
   bool failFast = false;
-  /// Append completed cells to this JSONL run journal (journal.hpp);
-  /// atomically rewritten in canonical order when the run finishes.
-  std::string journalPath;
-  /// Load this journal first and skip cells it already completed
-  /// successfully (digest- and fingerprint-verified); implies journaling
-  /// to the same file unless journalPath names another.
-  std::string resumeFrom;
 
   // ---- Persistent result store (ISSUE 9); runGrid only ------------------
   /// Content-addressed cross-process cell cache (result_store.hpp). Cells
   /// whose content key is already stored are served without compiling or
-  /// simulating; every cell computed this run is written back. Requires
+  /// simulating; every ok cell computed this run is written back as soon
+  /// as it finishes, which is what makes a crashed run resumable. Requires
   /// `storeKeyFor` — both are wired by resolveGridSpec (grid_spec.hpp),
   /// whose keys fingerprint everything a result depends on.
   std::shared_ptr<ResultStore> resultStore;
@@ -292,15 +288,14 @@ struct EngineStats {
   std::uint64_t compiles = 0;     ///< kgen::compile invocations
   std::uint64_t cacheHits = 0;    ///< compilations served from the cache
   std::uint64_t simulations = 0;  ///< Machine::run invocations
-  std::uint64_t resumed = 0;      ///< cells reused from a --resume journal
   std::uint64_t storeHits = 0;    ///< cells served from the result store
   unsigned jobs = 0;              ///< resolved worker-thread count
 };
 
 /// One line for bench footers, e.g.
 /// "engine: 20 compiles (+0 cached), 20 simulations, jobs=4"
-/// (", resumed=N" / ", store-hits=N" appended only when nonzero, so
-/// existing footer expectations are unchanged for fresh runs).
+/// (", store-hits=N" appended only when nonzero, so existing footer
+/// expectations are unchanged for fresh runs).
 std::string describe(const EngineStats& stats);
 
 class ExperimentEngine {
@@ -367,16 +362,13 @@ class ExperimentEngine {
                      const std::vector<workloads::WorkloadSpec>& suite,
                      const std::vector<Config>& configs,
                      const std::vector<std::string>& names,
-                     const std::vector<std::string>& fingerprints,
-                     const std::vector<char>& done, std::uint32_t deadlineMs,
-                     class RunJournal* journal);
+                     const std::vector<char>& done, std::uint32_t deadlineMs);
   void runGridProcess(GridResult& grid,
                       const std::vector<workloads::WorkloadSpec>& suite,
                       const std::vector<Config>& configs,
                       const std::vector<std::string>& names,
-                      const std::vector<std::string>& fingerprints,
-                      const std::vector<char>& done, std::uint32_t deadlineMs,
-                      class RunJournal* journal);
+                      const std::vector<char>& done,
+                      std::uint32_t deadlineMs);
 
   EngineOptions options_;
   CellScheduler scheduler_;
@@ -388,7 +380,6 @@ class ExperimentEngine {
   /// "engine: N compiles..." footer is isolation-mode independent.
   std::atomic<std::uint64_t> childCompiles_{0};
   std::atomic<std::uint64_t> childHits_{0};
-  std::atomic<std::uint64_t> resumed_{0};
   std::atomic<std::uint64_t> storeHits_{0};
 };
 

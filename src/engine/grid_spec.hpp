@@ -36,7 +36,7 @@ inline constexpr std::uint64_t kGridSpecV = 2;  // v2: mem_cores axis
 
 /// A complete, serializable description of one experiment grid. Execution
 /// details that do not change any cell's numbers (worker count, isolation
-/// mode, deadlines, journal paths) deliberately stay out — they live in
+/// mode, deadlines, store location) deliberately stay out — they live in
 /// EngineOptions and may differ between the processes that share results.
 struct GridSpec {
   /// Workload stretch factor (the benches' --scale); part of the module
@@ -116,7 +116,7 @@ struct ResolvedGrid {
 };
 
 /// Resolve `spec` against `base` execution options (jobs, isolation,
-/// deadlines, journal/store wiring — everything the spec itself does not
+/// deadlines, store wiring — everything the spec itself does not
 /// govern). base.cellSetup is preserved and runs before the spec's own
 /// requireModels check; base.analyses/budget/windowSizes and the four axis
 /// closures are overwritten from the spec. Model-load failures are

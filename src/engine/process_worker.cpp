@@ -169,10 +169,6 @@ std::vector<std::size_t> runForkedCells(
 
     WorkerOutcome outcome;
     outcome.attempt = child.attempt;
-    outcome.elapsedUs = static_cast<std::uint64_t>(
-        std::chrono::duration_cast<std::chrono::microseconds>(Clock::now() -
-                                                              child.start)
-            .count());
     if (child.killedForDeadline) {
       outcome.status = WorkerOutcome::Status::TimedOut;
     } else if (WIFSIGNALED(status)) {

@@ -39,7 +39,6 @@ struct WorkerOutcome {
   std::string payload;  ///< child's pipe payload (Status::Payload)
   int signo = 0;        ///< terminating signal (Crashed; 0 for bad exits)
   int exitCode = 0;     ///< exit code (Crashed with signo == 0)
-  std::uint64_t elapsedUs = 0;
   unsigned attempt = 0;  ///< attempt index that produced this outcome
 };
 

@@ -1,24 +1,25 @@
 // Persistent content-addressed cell-result store (ISSUE 9, layer 2).
 //
-// The engine already guarantees each cell simulates at most once *within*
-// a process (CompileCache + single-pass runGrid) and at most once across
-// crashes of one run (the RunJournal). This store extends that guarantee
-// across processes and across time: every completed CellResult is written
-// — via the exact cell_codec v3 encoding and writeFileAtomic, so readers
-// only ever see whole records — under a content key that fingerprints
-// everything the result depends on (module bytes, arch, era, analyses
-// mask, budget, window sizes, and the core-model file content feeding the
-// latency/cache/throughput/fusion axes; see grid_spec.hpp). Any process
-// that later asks for the same cell gets the stored result for free, and
-// because the codec is bit-exact the rendered report is byte-identical to
-// a fresh simulation. This is what makes a warm `simd` daemon serve whole
-// grids with zero simulations.
+// The engine guarantees each cell simulates at most once *within* a
+// process (CompileCache + single-pass runGrid). This store extends that
+// guarantee across processes, across time and across crashes — it is the
+// engine's only mechanism for skipping computed cells, and rerunning a
+// crashed grid with the same store is how it resumes: every completed
+// CellResult is written as soon as it finishes — via the exact cell_codec
+// encoding and writeFileAtomic, so readers only ever see whole records —
+// under a content key that fingerprints everything the result depends on
+// (module bytes, arch, era, analyses mask, budget, window sizes, and the
+// core-model file content feeding the latency/cache/throughput/fusion
+// axes; see grid_spec.hpp). Any process that later asks for the same cell
+// gets the stored result for free, and because the codec is bit-exact the
+// rendered report is byte-identical to a fresh simulation. This is what
+// makes a warm `simd` daemon serve whole grids with zero simulations.
 //
 // Layout (one file per cell, sharded on the first key byte so directories
 // stay small at production cell counts):
 //
 //   <root>/v<kCodecV>/<key[0..1]>/<key>.json
-//   {"v":3,"key":"<16 hex>","digest":"<16 hex>","result":{...cell_codec}}
+//   {"v":4,"key":"<16 hex>","digest":"<16 hex>","result":{...cell_codec}}
 //
 // Trust model: load() verifies the codec version, the embedded key, and
 // the result digest before handing anything back; a torn, stale, or

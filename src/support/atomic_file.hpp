@@ -1,9 +1,10 @@
 // Write-temp-then-rename file persistence (ISSUE 6 satellite).
 //
 // Every artifact the harness leaves behind — BENCH_throughput.json,
-// BENCH_cache.json, conformance digests, run journals — used to be written
-// with a bare ofstream, so a crash or SIGKILL mid-write left a torn file
-// that downstream tooling (CI artifact diffing, --resume) would misparse.
+// BENCH_cache.json, conformance digests, result-store cells — used to be
+// written with a bare ofstream, so a crash or SIGKILL mid-write left a torn
+// file that downstream tooling (CI artifact diffing, a rerun reading the
+// store) would misparse.
 // writeFileAtomic stages the full content in `<path>.tmp.<pid>` in the
 // same directory and rename(2)s it over the destination, which POSIX
 // guarantees is atomic: readers see either the old complete file or the

@@ -22,7 +22,7 @@
 //                     instead of delivering a result
 //
 // The string forms of faultKindName() and every constructor's what()
-// summary are load-bearing: run-journal entries (src/engine/journal) and
+// summary are load-bearing: stored cell results (src/engine/cell_codec) and
 // crash-report artifacts embed them, and tests/verify/fault_golden_test.cpp
 // pins them. Extend the taxonomy freely, but treat existing spellings as a
 // stable wire format.

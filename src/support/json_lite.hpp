@@ -1,18 +1,18 @@
 // Minimal JSON document model for the engine's durable records (ISSUE 6).
 //
-// The run journal (JSONL, one object per line) and the process-isolation
-// pipe protocol both need structured records that round-trip exactly and
-// parse without external dependencies — the same vendored-nothing stance
+// The result store, the process-isolation pipe protocol and the simd wire
+// protocol all need structured records that round-trip exactly and parse
+// without external dependencies — the same vendored-nothing stance
 // yaml_lite takes for configs. The surface is deliberately narrow:
 //   values   null / bool / unsigned 64-bit integers / string / array /
 //            object (insertion-ordered, so emitted bytes are deterministic)
 //   numbers  non-negative integers only. Every numeric field in the
-//            journal schema is a count, an index, a bit pattern, or a
+//            cell schema is a count, an index, a bit pattern, or a
 //            digest; doubles are carried as their IEEE-754 bit patterns
 //            (see engine/cell_codec) so re-serialization is byte-exact.
 // parse() rejects anything outside that subset with a ConfigError carrying
-// the byte offset, and never throws on the hot path (journal loaders probe
-// with tryParse to tolerate a torn final line after a crash).
+// the byte offset, and never throws on the hot path (the store and the
+// pipe reader probe with tryParse so a torn record is a miss, not a crash).
 #pragma once
 
 #include <cstdint>
@@ -73,7 +73,8 @@ class JsonValue {
   /// Strict parse of one document; throws ConfigError (with byte offset in
   /// the message) on any syntax error or unsupported construct.
   static JsonValue parse(const std::string& text);
-  /// Non-throwing probe used by the journal loader on possibly-torn lines.
+  /// Non-throwing probe for possibly-torn input (store files, pipe
+  /// payloads, socket requests).
   static std::optional<JsonValue> tryParse(const std::string& text);
 
  private:

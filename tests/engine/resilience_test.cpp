@@ -1,6 +1,6 @@
 // Resilient execution (ISSUE 6): deterministic retry backoff, the deadline
 // watchdog, the forked worker pool, and the engine-level deadline / crash
-// isolation / journal-resume contracts.
+// isolation / store-resume contracts.
 #include <gtest/gtest.h>
 
 #include <unistd.h>
@@ -11,6 +11,7 @@
 #include <filesystem>
 #include <fstream>
 #include <map>
+#include <memory>
 #include <string>
 #include <thread>
 #include <vector>
@@ -18,6 +19,7 @@
 #include "engine/cell_codec.hpp"
 #include "engine/engine.hpp"
 #include "engine/process_worker.hpp"
+#include "engine/result_store.hpp"
 #include "engine/watchdog.hpp"
 #include "support/fault.hpp"
 
@@ -318,54 +320,50 @@ TEST(Resilience, FailFastMarksUnstartedCellsSkipped) {
 }
 
 TEST(Resilience, ResumeReusesEveryCompletedCell) {
+  // Resuming is rerunning with the same result store: ok cells are stored
+  // atomically as they finish, so after a crash the rerun simulates only
+  // the cell that failed.
   const fs::path dir = freshTempDir();
-  const std::string journal = (dir / "run.jsonl").string();
   std::vector<workloads::WorkloadSpec> suite;
   suite.push_back({"stream-a", workloads::makeStream({.n = 64, .reps = 1})});
   suite.push_back({"stream-b", workloads::makeStream({.n = 200, .reps = 2})});
   const std::vector<Config> configs = gcc12Pair();
 
-  EngineOptions options;
-  options.jobs = 2;
-  options.journalPath = journal;
-  ExperimentEngine first(options);
-  const GridResult fresh = first.runGrid(suite, configs);
+  EngineOptions base;
+  base.jobs = 2;
+  ExperimentEngine reference(base);
+  const GridResult fresh = reference.runGrid(suite, configs);
   ASSERT_EQ(fresh.cells.size(), 4u);
-  EXPECT_FALSE(fresh.anyFailed());
+  ASSERT_FALSE(fresh.anyFailed());
 
-  EngineOptions resumeOptions = options;
-  resumeOptions.resumeFrom = journal;
-  ExperimentEngine second(resumeOptions);
+  EngineOptions options = base;
+  options.isolate = IsolationMode::Process;
+  options.resultStore = std::make_shared<ResultStore>((dir / "store").string());
+  options.storeKeyFor = [](const CellKey& key) {
+    return "cell" + std::to_string(key.workloadIndex) + "-" +
+           std::to_string(key.configIndex);
+  };
+  EngineOptions crashing = options;
+  crashing.cellSetup = [](const CellKey& key) {
+    if (key.workloadIndex == 1 && key.configIndex == 1) std::raise(SIGSEGV);
+  };
+  ExperimentEngine first(crashing);
+  const GridResult crashed = first.runGrid(suite, configs);
+  ASSERT_EQ(crashed.cells.size(), 4u);
+  EXPECT_EQ(crashed.cells[3].cell.kind, "CrashFault");
+  for (std::size_t i = 0; i < 3; ++i) EXPECT_TRUE(crashed.cells[i].cell.ok);
+  EXPECT_EQ(options.resultStore->writes(), 3u);  // failures are not stored
+
+  ExperimentEngine second(options);
   const GridResult resumed = second.runGrid(suite, configs);
-
-  EXPECT_EQ(second.stats().resumed, 4u);
-  EXPECT_EQ(second.stats().simulations, 0u);  // nothing re-executed
+  EXPECT_EQ(second.stats().storeHits, fresh.cells.size() - 1);
+  EXPECT_EQ(second.stats().simulations, 1u);  // only the crashed cell
   ASSERT_EQ(resumed.cells.size(), fresh.cells.size());
+  EXPECT_FALSE(resumed.anyFailed());
   for (std::size_t i = 0; i < fresh.cells.size(); ++i) {
     // Bit-exact reuse, doubles included — the codec round-trip guarantee.
     EXPECT_EQ(cellDigest(resumed.cells[i]), cellDigest(fresh.cells[i]));
   }
-  fs::remove_all(dir);
-}
-
-TEST(Resilience, ResumeRejectsJournalFromDifferentGrid) {
-  const fs::path dir = freshTempDir();
-  const std::string journal = (dir / "run.jsonl").string();
-  std::vector<workloads::WorkloadSpec> suite;
-  suite.push_back({"stream-a", workloads::makeStream({.n = 64, .reps = 1})});
-  const std::vector<Config> configs = gcc12Pair();
-
-  EngineOptions options;
-  options.journalPath = journal;
-  ExperimentEngine first(options);
-  (void)first.runGrid(suite, configs);
-
-  EngineOptions mismatched = options;
-  mismatched.resumeFrom = journal;
-  mismatched.journalPath.clear();
-  mismatched.budget = 12345;  // different grid identity
-  ExperimentEngine second(mismatched);
-  EXPECT_THROW((void)second.runGrid(suite, configs), ConfigError);
   fs::remove_all(dir);
 }
 

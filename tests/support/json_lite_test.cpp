@@ -1,4 +1,4 @@
-// JsonValue: the journal/pipe document model (ISSUE 6).
+// JsonValue: the result-store/pipe document model.
 #include <gtest/gtest.h>
 
 #include "support/fault.hpp"

@@ -1,10 +1,10 @@
 // Golden test pinning the fault taxonomy's string forms (ISSUE 6).
 //
 // faultKindName() and every constructor's what() summary are a stable wire
-// format: run-journal entries, crash artifacts, and the bench failure
-// footers all embed them, and a resumed run compares digests over encoded
-// results that contain them. Any change here is a format break — update
-// the journal/codec versions, not just these strings.
+// format: stored cell results, crash artifacts, and the bench failure
+// footers all embed them, and the result store verifies digests over
+// encoded results that contain them. Any change here is a format break —
+// update the codec version, not just these strings.
 #include <gtest/gtest.h>
 
 #include "support/fault.hpp"
