@@ -114,6 +114,11 @@ GridSpec gridSpecFromJson(const support::JsonValue& value) {
   spec.gcc12Analyses = static_cast<unsigned>(gcc12);
   spec.windowSizes.clear();
   for (const support::JsonValue& size : value.at("windows").items()) {
+    if (size.asUint() == 0 ||
+        size.asUint() > WindowedCPAnalyzer::kMaxWindowSize) {
+      throw ConfigError("grid spec: windows entries must be in [1, 65536]",
+                        {}, 0, "windows");
+    }
     spec.windowSizes.push_back(static_cast<std::uint32_t>(size.asUint()));
   }
   spec.budget = value.at("budget").asUint();

@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include "analysis/windowed_cp.hpp"
+#include "support/fault.hpp"
 
 namespace riscmp {
 namespace {
@@ -143,6 +144,65 @@ TEST(WindowedCP, TinyTraceReportsZeroWindowsForLargeSizes) {
   EXPECT_EQ(results[1].windows, 0u);
   EXPECT_DOUBLE_EQ(results[1].meanCp, 0.0);
   EXPECT_DOUBLE_EQ(results[1].meanIlp, 0.0);
+}
+
+TEST(WindowedCP, RejectsZeroAndOversizedWindowsAndLatencies) {
+  EXPECT_THROW(WindowedCPAnalyzer({4, 0}), ConfigError);
+  EXPECT_THROW(WindowedCPAnalyzer({WindowedCPAnalyzer::kMaxWindowSize + 1}),
+               ConfigError);
+  try {
+    WindowedCPAnalyzer analyzer({100000000});
+    ADD_FAILURE() << "a 10^8-instruction window was accepted";
+  } catch (const ConfigError& error) {
+    EXPECT_EQ(error.key(), "windows");
+  }
+  LatencyTable latencies = unitLatencies();
+  latencies[0] = WindowedCPAnalyzer::kMaxLatency + 1;
+  EXPECT_THROW(WindowedCPAnalyzer({4}, 1, 2, &latencies), ConfigError);
+  latencies[0] = WindowedCPAnalyzer::kMaxLatency;
+  EXPECT_NO_THROW(WindowedCPAnalyzer({4}, 1, 2, &latencies));
+}
+
+// Windowed CP tracks at most 4 8-byte chunks per instruction per direction,
+// so a 64-byte access only links through its first 32 bytes. The whole-trace
+// CriticalPathAnalyzer (and DependencyDistanceAnalyzer) have no such cap.
+TEST(WindowedCP, SixtyFourByteAccessesTrackOnlyTheirFirstFourChunks) {
+  RetiredInst wideStore;
+  wideStore.stores.push_back(MemAccess{0x100, 64});  // chunks 0x20..0x27
+  RetiredInst wideLoad;
+  wideLoad.loads.push_back(MemAccess{0x100, 64});    // chunks 0x20..0x27
+  const auto store8 = [](std::uint64_t addr) {
+    RetiredInst inst;
+    inst.stores.push_back(MemAccess{addr, 8});
+    return inst;
+  };
+  const auto load8 = [](std::uint64_t addr) {
+    RetiredInst inst;
+    inst.loads.push_back(MemAccess{addr, 8});
+    return inst;
+  };
+  struct Pair {
+    RetiredInst producer;
+    RetiredInst consumer;
+    double windowedCp;
+  };
+  const Pair pairs[] = {
+      {wideStore, load8(0x118), 2.0},  // 4th stored chunk: linked
+      {wideStore, load8(0x120), 1.0},  // 5th stored chunk: not tracked
+      {store8(0x118), wideLoad, 2.0},  // 4th loaded chunk: linked
+      {store8(0x120), wideLoad, 1.0},  // 5th loaded chunk: not looked up
+  };
+  for (const Pair& pair : pairs) {
+    WindowedCPAnalyzer windowed({2}, 1, 1);
+    CriticalPathAnalyzer whole;
+    for (const RetiredInst* inst : {&pair.producer, &pair.consumer}) {
+      windowed.onRetire(*inst);
+      whole.onRetire(*inst);
+    }
+    ASSERT_EQ(windowed.results()[0].windows, 1u);
+    EXPECT_DOUBLE_EQ(windowed.results()[0].meanCp, pair.windowedCp);
+    EXPECT_EQ(whole.criticalPath(), 2u);
+  }
 }
 
 }  // namespace

@@ -76,6 +76,33 @@ TEST(GridSpecJson, RejectsZeroMemCores) {
   EXPECT_THROW(gridSpecFromJson(gridSpecToJson(spec)), ConfigError);
 }
 
+/// `doc` with its `windows` array replaced by `sizes`.
+support::JsonValue withWindows(support::JsonValue doc,
+                               std::initializer_list<std::uint64_t> sizes) {
+  support::JsonValue windows = support::JsonValue::array();
+  for (const std::uint64_t size : sizes) windows.push(support::JsonValue(size));
+  doc.set("windows", std::move(windows));
+  return doc;
+}
+
+TEST(GridSpecJson, RejectsOutOfRangeWindows) {
+  // A daemon request must not truncate 2^32 + 4 to 4, pass 0, or make the
+  // windowed-CP analyzer allocate a ring for a huge window.
+  const support::JsonValue doc = gridSpecToJson(smallSpec());
+  for (const std::uint64_t bad :
+       {std::uint64_t{0}, (std::uint64_t{1} << 32) + 4, std::uint64_t{65537},
+        std::uint64_t{100000000}}) {
+    try {
+      gridSpecFromJson(withWindows(doc, {4, bad}));
+      ADD_FAILURE() << "windows entry " << bad << " was accepted";
+    } catch (const ConfigError& error) {
+      EXPECT_EQ(error.key(), "windows") << bad;
+    }
+  }
+  const GridSpec largest = gridSpecFromJson(withWindows(doc, {1, 65536}));
+  EXPECT_EQ(largest.windowSizes, (std::vector<std::uint32_t>{1, 65536}));
+}
+
 TEST(GridShape, FiltersSuiteAndDefaultsConfigs) {
   const GridShape shape = resolveGridShape(smallSpec());
   ASSERT_EQ(shape.suite.size(), 2u);

@@ -115,6 +115,32 @@ TEST(SimService, GridRunsAndWarmRepliesComeFromStore) {
   EXPECT_EQ(stats.at("store_hits").asUint(), 1u);
 }
 
+TEST(SimService, BadWindowsGetAnErrorReplyAndTheDaemonStaysUp) {
+  SimService service({});
+  support::JsonValue request = support::JsonValue::parse(gridRequest());
+  for (const std::uint64_t bad :
+       {std::uint64_t{0}, (std::uint64_t{1} << 32) + 4,
+        std::uint64_t{100000000}}) {
+    support::JsonValue spec = request.at("spec");
+    support::JsonValue windows = support::JsonValue::array();
+    windows.push(support::JsonValue(bad));
+    spec.set("windows", std::move(windows));
+    request.set("spec", std::move(spec));
+    const support::JsonValue reply =
+        support::JsonValue::parse(service.handleLine(request.dump()));
+    EXPECT_EQ(reply.at("type").asString(), "error") << bad;
+    EXPECT_NE(reply.at("message").asString().find("windows"),
+              std::string::npos)
+        << reply.dump();
+  }
+  const support::JsonValue pong =
+      support::JsonValue::parse(service.handleLine("{\"type\":\"ping\"}"));
+  EXPECT_EQ(pong.at("type").asString(), "pong");
+  const support::JsonValue grid =
+      support::JsonValue::parse(service.handleLine(gridRequest()));
+  EXPECT_EQ(grid.at("type").asString(), "grid");
+}
+
 TEST(SimService, IdenticalRequestsInOneBatchRunOnce) {
   SimService service({});
   const std::vector<std::string> batch = {gridRequest(), gridRequest()};
