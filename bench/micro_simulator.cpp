@@ -3,9 +3,10 @@
 // simulation engine's performance, which bounds feasible workload sizes.
 //
 // BM_RunStream{Rv64,A64} are the end-to-end MIPS benchmarks the perf-smoke
-// CI step tracks: one full simulation pass with the complete paper analyzer
-// stack attached (path length, CP, scaled CP, windowed CP, dep distance),
-// i.e. exactly what one engine cell costs. `--json` writes the results to
+// CI step tracks: one full simulation pass with the observer set the engine
+// attaches to a paper cell (path length; one DependencyChainAnalyzer for
+// CP, scaled CP and dependency distances; windowed CP), i.e. exactly what
+// one engine cell costs. `--json` writes the results to
 // BENCH_throughput.json so the trajectory is comparable across PRs.
 #include <benchmark/benchmark.h>
 #include <unistd.h>
@@ -20,7 +21,7 @@
 
 #include "aarch64/decode.hpp"
 #include "analysis/critical_path.hpp"
-#include "analysis/dep_distance.hpp"
+#include "analysis/dependency_chain.hpp"
 #include "analysis/path_length.hpp"
 #include "analysis/windowed_cp.hpp"
 #include "core/machine.hpp"
@@ -98,6 +99,16 @@ void BM_EmulateWithCriticalPath(benchmark::State& state) {
 }
 BENCHMARK(BM_EmulateWithCriticalPath);
 
+/// The engine's shared tracker with all three analyses on: CP, scaled CP
+/// (riscv-tx2 latencies) and dependency distances.
+void BM_EmulateWithDependencyChain(benchmark::State& state) {
+  const LatencyTable latencies =
+      uarch::CoreModel::named("riscv-tx2").latencies;
+  DependencyChainAnalyzer analyzer(&latencies, true);
+  runEmulation(state, Arch::Rv64, {&analyzer});
+}
+BENCHMARK(BM_EmulateWithDependencyChain);
+
 void BM_EmulateWithWindowedCp(benchmark::State& state) {
   WindowedCPAnalyzer analyzer(WindowedCPAnalyzer::paperWindowSizes());
   runEmulation(state, Arch::Rv64, {&analyzer});
@@ -111,7 +122,8 @@ void BM_EmulateWithOoOCore(benchmark::State& state) {
 BENCHMARK(BM_EmulateWithOoOCore);
 
 /// End-to-end engine-cell shape: a fresh Machine and a fresh full analyzer
-/// stack per iteration, one simulation pass feeding all five analyses. The
+/// stack per iteration, one simulation pass feeding all five analyses
+/// through the engine's three observers. The
 /// items/sec counter is simulated instructions per second (MIPS ÷ 1e6).
 void runStreamEndToEnd(benchmark::State& state, Arch arch) {
   const auto compiled = compiledStream(arch);
@@ -123,17 +135,13 @@ void runStreamEndToEnd(benchmark::State& state, Arch arch) {
   std::uint64_t instructions = 0;
   for (auto _ : state) {
     PathLengthCounter pathLength(compiled.program);
-    CriticalPathAnalyzer criticalPath;
-    CriticalPathAnalyzer scaledCp(latencies);
+    DependencyChainAnalyzer chain(&latencies, true);
     WindowedCPAnalyzer windowed(WindowedCPAnalyzer::paperWindowSizes());
-    DependencyDistanceAnalyzer depDistance;
 
     Machine machine(compiled.program, options);
     machine.addObserver(pathLength);
-    machine.addObserver(criticalPath);
-    machine.addObserver(scaledCp);
+    machine.addObserver(chain);
     machine.addObserver(windowed);
-    machine.addObserver(depDistance);
     instructions += machine.run().instructions;
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(instructions));

@@ -1,73 +1,61 @@
 // Critical-path analysis (paper §4.1, §5.1).
 //
-// An array holds the longest RAW chain ending at each register; a hash map
-// holds the chain ending at each memory location (8-byte chunks, covering
-// the access extent). Each retired instruction's depth is
+// Each retired instruction's depth is
 //   max(depth of sources) + cost
-// where cost is 1 for the ideal-processor analysis (§4) and the
-// instruction's execution latency for the scaled analysis (§5) — loads and
-// stores are not scaled (store-forwarding assumption, §5.1). The critical
-// path is the maximum depth observed; ILP = instructions / CP.
+// over register and 8-byte memory-chunk RAW dependencies, where cost is 1
+// for the ideal-processor analysis (§4) and the instruction's execution
+// latency for the scaled analysis (§5) — loads and stores are not scaled
+// (store-forwarding assumption, §5.1). The critical path is the maximum
+// depth observed; ILP = instructions / CP. The chain tracking is
+// DependencyChainAnalyzer's; this class selects the CP it reports.
 #pragma once
 
-#include <array>
 #include <cstdint>
-#include <optional>
 #include <span>
 
+#include "analysis/dependency_chain.hpp"
 #include "isa/trace.hpp"
-#include "support/flat_hash.hpp"
 
 namespace riscmp {
-
-/// Execution latency per instruction group (cycles).
-using LatencyTable = std::array<std::uint32_t, kInstGroupCount>;
-
-/// The unit latency table: every group costs one cycle (ideal processor).
-constexpr LatencyTable unitLatencies() {
-  LatencyTable table{};
-  table.fill(1);
-  return table;
-}
 
 class CriticalPathAnalyzer final : public TraceObserver {
  public:
   /// Without a table the analyzer computes the paper's §4 (unscaled) CP;
   /// with one, the §5 scaled CP.
-  CriticalPathAnalyzer() : latencies_(unitLatencies()), scaled_(false) {}
+  CriticalPathAnalyzer() = default;
   explicit CriticalPathAnalyzer(const LatencyTable& latencies)
-      : latencies_(latencies), scaled_(true) {}
+      : chain_(&latencies), scaled_(true) {}
 
-  void onRetire(const RetiredInst& inst) override;
-  void onRetireBlock(std::span<const RetiredInst> block) override;
+  void onRetire(const RetiredInst& inst) override { chain_.onRetire(inst); }
+  void onRetireBlock(std::span<const RetiredInst> block) override {
+    chain_.onRetireBlock(block);
+  }
 
   /// Clear all chain state so the analyzer can observe a fresh trace; the
   /// latency table (and scaled/unscaled mode) is retained.
-  void reset();
+  void reset() { chain_.reset(); }
 
   /// Length of the longest RAW dependency chain seen so far.
-  [[nodiscard]] std::uint64_t criticalPath() const { return maxDepth_; }
-  [[nodiscard]] std::uint64_t instructions() const { return instructions_; }
+  [[nodiscard]] std::uint64_t criticalPath() const {
+    return scaled_ ? chain_.scaledCriticalPath() : chain_.criticalPath();
+  }
+  [[nodiscard]] std::uint64_t instructions() const {
+    return chain_.instructions();
+  }
   [[nodiscard]] double ilp() const {
-    return maxDepth_ == 0
-               ? 0.0
-               : static_cast<double>(instructions_) /
-                     static_cast<double>(maxDepth_);
+    const std::uint64_t cp = criticalPath();
+    return cp == 0 ? 0.0
+                   : static_cast<double>(instructions()) /
+                         static_cast<double>(cp);
   }
   /// Ideal runtime in seconds at `clockHz` (paper uses 2 GHz).
   [[nodiscard]] double runtimeSeconds(double clockHz = 2e9) const {
-    return static_cast<double>(maxDepth_) / clockHz;
+    return static_cast<double>(criticalPath()) / clockHz;
   }
 
  private:
-  void retireOne(const RetiredInst& inst);
-
-  std::array<std::uint64_t, Reg::kDenseCount> regDepth_{};
-  FlatHashMap64<std::uint64_t> memDepth_;
-  LatencyTable latencies_;
-  bool scaled_;
-  std::uint64_t maxDepth_ = 0;
-  std::uint64_t instructions_ = 0;
+  DependencyChainAnalyzer chain_;
+  bool scaled_ = false;
 };
 
 }  // namespace riscmp

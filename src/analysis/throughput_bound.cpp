@@ -116,7 +116,7 @@ void ThroughputBoundAnalyzer::account(Context& context,
   }
   ++context.portCycles[best];
 
-  // Scaled-CP chain, mirroring CriticalPathAnalyzer::retireOne exactly:
+  // Scaled-CP chain, mirroring DependencyChainAnalyzer's exactly:
   // loads and stores cost 1 (§5.1 store-forwarding assumption), everything
   // else its group latency; memory dependencies via 8-byte chunks.
   std::uint64_t depth = 0;
@@ -142,7 +142,7 @@ void ThroughputBoundAnalyzer::account(Context& context,
     const std::uint64_t first = access.addr >> 3;
     const std::uint64_t last = (access.addr + access.size - 1) >> 3;
     for (std::uint64_t chunk = first; chunk <= last; ++chunk) {
-      context.memDepth.assign(chunk, depth);
+      context.memDepth[chunk] = depth;
     }
   }
   context.maxDepth = std::max(context.maxDepth, depth);

@@ -37,7 +37,7 @@
 #include "analysis/critical_path.hpp"
 #include "core/program.hpp"
 #include "isa/trace.hpp"
-#include "support/flat_hash.hpp"
+#include "support/chunk_table.hpp"
 
 namespace riscmp {
 
@@ -152,7 +152,7 @@ class ThroughputBoundAnalyzer final : public TraceObserver {
     std::vector<std::uint64_t> portCycles;
     std::uint64_t maxDepth = 0;
     std::array<std::uint64_t, Reg::kDenseCount> regDepth{};
-    FlatHashMap64<std::uint64_t> memDepth;
+    ChunkTable<std::uint64_t> memDepth;
   };
 
   void retireOne(const RetiredInst& inst);

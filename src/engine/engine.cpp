@@ -8,7 +8,7 @@
 #include <thread>
 #include <utility>
 
-#include "analysis/dep_distance.hpp"
+#include "analysis/dependency_chain.hpp"
 #include "core/machine.hpp"
 #include "engine/cell_codec.hpp"
 #include "engine/process_worker.hpp"
@@ -92,41 +92,39 @@ void ExperimentEngine::runCellAttempt(
     const auto compiled = compile(spec.module, configs[c]);
 
     // The MultiAnalysis set: one observer instance per enabled analysis,
-    // all fed by the single simulation pass below.
+    // all fed by the single simulation pass below. CP, scaled CP and
+    // dependency distances share one DependencyChainAnalyzer per stream.
     std::optional<PathLengthCounter> pathLength;
-    std::optional<CriticalPathAnalyzer> criticalPath;
-    std::optional<CriticalPathAnalyzer> scaledCp;
+    std::optional<DependencyChainAnalyzer> chain;
     std::optional<WindowedCPAnalyzer> windowed;
-    std::optional<DependencyDistanceAnalyzer> depDistance;
     std::optional<uarch::mem::CacheModelAnalyzer> cacheModel;
     std::optional<uarch::mem::CacheAwareCpAnalyzer> cacheAwareCp;
     std::optional<uarch::mem::MemSystemAnalyzer> memSystem;
     std::optional<ThroughputBoundAnalyzer> throughputBound;
     std::optional<PathLengthCounter> fusedPathLength;
-    std::optional<CriticalPathAnalyzer> fusedCp;
-    std::optional<CriticalPathAnalyzer> fusedScaledCp;
+    std::optional<DependencyChainAnalyzer> fusedChain;
     std::optional<uarch::FusionPass> fusionPass;
     std::vector<TraceObserver*> observers;
 
     if (analyses & kPathLength) {
       observers.push_back(&pathLength.emplace(compiled->program));
     }
-    if (analyses & kCriticalPath) {
-      observers.push_back(&criticalPath.emplace());
-    }
-    if ((analyses & kScaledCP) && options_.latenciesFor) {
-      if (const LatencyTable* table =
-              options_.latenciesFor(configs[c].arch)) {
-        observers.push_back(&scaledCp.emplace(*table));
-      }
+    const LatencyTable* latencies =
+        (analyses & (kScaledCP | kCacheAwareCP | kFusion)) &&
+                options_.latenciesFor
+            ? options_.latenciesFor(configs[c].arch)
+            : nullptr;
+    const LatencyTable* scaledLatencies =
+        (analyses & kScaledCP) ? latencies : nullptr;
+    if ((analyses & (kCriticalPath | kDepDistance)) ||
+        scaledLatencies != nullptr) {
+      observers.push_back(
+          &chain.emplace(scaledLatencies, (analyses & kDepDistance) != 0));
     }
     if (analyses & kWindowedCP) {
       observers.push_back(&windowed.emplace(
           options_.windowSizes.empty() ? WindowedCPAnalyzer::paperWindowSizes()
                                        : options_.windowSizes));
-    }
-    if (analyses & kDepDistance) {
-      observers.push_back(&depDistance.emplace());
     }
     // Both cache analyses own a private MemoryHierarchy: observers are
     // independent by contract, and the same trace + geometry gives each
@@ -145,11 +143,8 @@ void ExperimentEngine::runCellAttempt(
                                              options_.memCores));
     }
     if ((analyses & kCacheAwareCP) && cacheConfig != nullptr &&
-        options_.latenciesFor) {
-      if (const LatencyTable* table =
-              options_.latenciesFor(configs[c].arch)) {
-        observers.push_back(&cacheAwareCp.emplace(*table, *cacheConfig));
-      }
+        latencies != nullptr) {
+      observers.push_back(&cacheAwareCp.emplace(*latencies, *cacheConfig));
     }
     if ((analyses & kThroughputBound) && options_.throughputModelFor) {
       if (const ThroughputModel* model =
@@ -167,13 +162,7 @@ void ExperimentEngine::runCellAttempt(
               options_.fusionFor(configs[c].arch)) {
         std::vector<TraceObserver*> fused;
         fused.push_back(&fusedPathLength.emplace(compiled->program));
-        fused.push_back(&fusedCp.emplace());
-        if (options_.latenciesFor) {
-          if (const LatencyTable* table =
-                  options_.latenciesFor(configs[c].arch)) {
-            fused.push_back(&fusedScaledCp.emplace(*table));
-          }
-        }
+        fused.push_back(&fusedChain.emplace(latencies));
         observers.push_back(&fusionPass.emplace(*fusion, compiled->program,
                                                 std::move(fused)));
       }
@@ -188,18 +177,18 @@ void ExperimentEngine::runCellAttempt(
       }
       out.unattributed = pathLength->unattributed();
     }
-    if (criticalPath) out.criticalPath = criticalPath->criticalPath();
-    if (scaledCp) {
+    if (analyses & kCriticalPath) out.criticalPath = chain->criticalPath();
+    if (scaledLatencies != nullptr) {
       out.hasScaledCp = true;
-      out.scaledCriticalPath = scaledCp->criticalPath();
+      out.scaledCriticalPath = chain->scaledCriticalPath();
     }
     if (windowed) out.windows = windowed->results();
-    if (depDistance) {
-      out.deps.dependencies = depDistance->dependencies();
-      out.deps.meanDistance = depDistance->meanDistance();
-      out.deps.within4 = depDistance->fractionWithin(4);
-      out.deps.within16 = depDistance->fractionWithin(16);
-      out.deps.within64 = depDistance->fractionWithin(64);
+    if (analyses & kDepDistance) {
+      out.deps.dependencies = chain->dependencies();
+      out.deps.meanDistance = chain->meanDistance();
+      out.deps.within4 = chain->fractionWithin(4);
+      out.deps.within16 = chain->fractionWithin(16);
+      out.deps.within64 = chain->fractionWithin(64);
     }
     if (cacheModel) {
       out.hasCache = true;
@@ -231,10 +220,10 @@ void ExperimentEngine::runCellAttempt(
       out.fusionUnattributedPairs = fusionPass->unattributedPairs();
       out.fusionKernels = fusionPass->kernels();
       if (fusedPathLength) out.fusedKernels = fusedPathLength->kernels();
-      if (fusedCp) out.fusedCriticalPath = fusedCp->criticalPath();
-      if (fusedScaledCp) {
+      out.fusedCriticalPath = fusedChain->criticalPath();
+      if (latencies != nullptr) {
         out.hasFusedScaledCp = true;
-        out.fusedScaledCriticalPath = fusedScaledCp->criticalPath();
+        out.fusedScaledCriticalPath = fusedChain->scaledCriticalPath();
       }
     }
   });

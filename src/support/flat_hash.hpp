@@ -1,15 +1,17 @@
 // A minimal open-addressing hash map for the analysis hot paths.
 //
-// The trace analyses track per-memory-chunk state (dependency depths,
-// producer indices, readiness cycles) keyed by 64-bit chunk ids. They only
-// ever need find and insert-or-assign — no erase, no iteration — but they
-// perform those operations once or more per retired instruction, where
-// std::unordered_map's per-node allocation and pointer chasing dominate the
-// simulator's end-to-end throughput. This map stores slots inline in one
-// power-of-two array with linear probing (multiplicative hashing spreads
-// the sequential chunk ids the analyses produce), so the common hit is one
-// probe into one cache line and inserts never allocate until the 0.7 load
-// factor forces a rehash.
+// The trace analyses keep state keyed by 64-bit ids: the page index of
+// ChunkTable (whose pages hold the per-8-byte-chunk dependency depths and
+// writers), the windowed-CP chunk writers, the out-of-order core's memory
+// readiness cycles, and the cache and memory-system line and page sets.
+// They only ever need find and insert-or-assign — no erase, no iteration —
+// but they perform those operations once or more per retired instruction,
+// where std::unordered_map's per-node allocation and pointer chasing would
+// dominate the simulator's end-to-end throughput. This map stores slots
+// inline in one power-of-two array with linear probing (multiplicative
+// hashing spreads sequential ids), so the common hit is one probe into one
+// cache line and inserts never allocate until the 0.7 load factor forces a
+// rehash.
 #pragma once
 
 #include <cstddef>

@@ -72,7 +72,7 @@ void CacheAwareCpAnalyzer::retireOne(const RetiredInst& inst) {
   for (const MemAccess& access : inst.stores) {
     const auto [first, last] = chunkRange(access);
     for (std::uint64_t chunk = first; chunk <= last; ++chunk) {
-      memDepth_.assign(chunk, depth);
+      memDepth_[chunk] = depth;
     }
   }
   maxDepth_ = std::max(maxDepth_, depth);

@@ -23,7 +23,7 @@
 
 #include "analysis/critical_path.hpp"  // LatencyTable
 #include "isa/trace.hpp"
-#include "support/flat_hash.hpp"
+#include "support/chunk_table.hpp"
 #include "uarch/mem/hierarchy.hpp"
 
 namespace riscmp::uarch::mem {
@@ -60,7 +60,7 @@ class CacheAwareCpAnalyzer final : public TraceObserver {
 
   MemoryHierarchy hierarchy_;
   std::array<std::uint64_t, Reg::kDenseCount> regDepth_{};
-  FlatHashMap64<std::uint64_t> memDepth_;
+  ChunkTable<std::uint64_t> memDepth_;
   LatencyTable latencies_;
   std::uint64_t maxDepth_ = 0;
   std::uint64_t instructions_ = 0;
