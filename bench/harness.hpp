@@ -21,6 +21,7 @@
 #include <sstream>
 #include <stdexcept>
 #include <string>
+#include <string_view>
 #include <thread>
 #include <utility>
 #include <vector>
@@ -60,65 +61,64 @@ auto parseFlagValue(const std::string& flag, const std::string& value,
   }
 }
 
+/// Value of the first argument starting with `prefix` (which includes
+/// the '='), with the prefix stripped; nullopt when no argument has it.
+inline std::optional<std::string> flagValue(int argc, char** argv,
+                                            std::string_view prefix) {
+  for (int i = 1; i < argc; ++i) {
+    const std::string_view arg = argv[i];
+    if (arg.starts_with(prefix)) return std::string(arg.substr(prefix.size()));
+  }
+  return std::nullopt;
+}
+
+/// Number parsers for parseFlagValue.
+inline double toDouble(const std::string& s, std::size_t* consumed) {
+  return std::stod(s, consumed);
+}
+inline unsigned long toUnsigned(const std::string& s, std::size_t* consumed) {
+  return std::stoul(s, consumed);
+}
+
 /// Parse a "--scale=<x>" argument (defaults to 1.0). Zero, negative, and
 /// non-finite scales produce degenerate or empty workloads whose ratios are
 /// nonsense, so they take the same exit-2 usage-error path as a malformed
 /// number.
 inline double parseScale(int argc, char** argv) {
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    if (arg.rfind("--scale=", 0) == 0) {
-      const double scale =
-          parseFlagValue("--scale", arg.substr(8),
-                         [](const std::string& s, std::size_t* consumed) {
-                           return std::stod(s, consumed);
-                         });
-      if (!std::isfinite(scale) || scale <= 0.0) {
-        std::cerr << "error: --scale must be a positive number, got '"
-                  << arg.substr(8) << "'\n";
-        std::exit(2);
-      }
-      return scale;
-    }
+  const std::optional<std::string> value = flagValue(argc, argv, "--scale=");
+  if (!value) return 1.0;
+  const double scale = parseFlagValue("--scale", *value, toDouble);
+  if (!std::isfinite(scale) || scale <= 0.0) {
+    std::cerr << "error: --scale must be a positive number, got '" << *value
+              << "'\n";
+    std::exit(2);
   }
-  return 1.0;
+  return scale;
 }
 
 /// Parse a "--jobs=<n>" argument: engine worker threads. Defaults to 0,
 /// which the engine resolves to hardware_concurrency; an explicit 0 is a
 /// usage error (a pool of zero workers can run nothing).
 inline unsigned parseJobs(int argc, char** argv) {
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    if (arg.rfind("--jobs=", 0) == 0) {
-      const unsigned long jobs =
-          parseFlagValue("--jobs", arg.substr(7),
-                         [](const std::string& s, std::size_t* consumed) {
-                           return std::stoul(s, consumed);
-                         });
-      if (jobs == 0) {
-        std::cerr << "error: --jobs must be a positive worker count\n";
-        std::exit(2);
-      }
-      return static_cast<unsigned>(jobs);
-    }
+  const std::optional<std::string> value = flagValue(argc, argv, "--jobs=");
+  if (!value) return 0;
+  const unsigned long jobs = parseFlagValue("--jobs", *value, toUnsigned);
+  if (jobs == 0) {
+    std::cerr << "error: --jobs must be a positive worker count\n";
+    std::exit(2);
   }
-  return 0;
+  return static_cast<unsigned>(jobs);
 }
 
 /// Parse a "--budget=<n>" argument: per-cell instruction budget
 /// (0 = unlimited; defaults to kDefaultInstructionBudget).
 inline std::uint64_t parseBudget(int argc, char** argv) {
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    if (arg.rfind("--budget=", 0) == 0) {
-      return parseFlagValue("--budget", arg.substr(9),
-                            [](const std::string& s, std::size_t* consumed) {
-                              return std::stoull(s, consumed);
-                            });
-    }
-  }
-  return kDefaultInstructionBudget;
+  const std::optional<std::string> value = flagValue(argc, argv, "--budget=");
+  if (!value) return kDefaultInstructionBudget;
+  return parseFlagValue("--budget", *value,
+                        [](const std::string& s, std::size_t* consumed) {
+                          return std::stoull(s, consumed);
+                        });
 }
 
 /// Parse a "--config-dir=<path>" argument: directory core-model YAML files
@@ -126,88 +126,57 @@ inline std::uint64_t parseBudget(int argc, char** argv) {
 /// run point at alternate or deliberately broken models.
 inline std::string parseConfigDir(int argc, char** argv,
                                   const std::string& fallback) {
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    if (arg.rfind("--config-dir=", 0) == 0) return arg.substr(13);
-  }
-  return fallback;
+  return flagValue(argc, argv, "--config-dir=").value_or(fallback);
 }
 
 /// Parse "--deadline=<seconds>": per-cell wall-clock deadline (fractional
 /// seconds allowed; 0/absent = none). Negative or non-finite deadlines are
 /// usage errors.
 inline double parseDeadline(int argc, char** argv) {
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    if (arg.rfind("--deadline=", 0) == 0) {
-      const double seconds =
-          parseFlagValue("--deadline", arg.substr(11),
-                         [](const std::string& s, std::size_t* consumed) {
-                           return std::stod(s, consumed);
-                         });
-      if (!std::isfinite(seconds) || seconds < 0.0) {
-        std::cerr << "error: --deadline must be a non-negative number of "
-                     "seconds, got '"
-                  << arg.substr(11) << "'\n";
-        std::exit(2);
-      }
-      return seconds;
-    }
+  const std::optional<std::string> value =
+      flagValue(argc, argv, "--deadline=");
+  if (!value) return 0.0;
+  const double seconds = parseFlagValue("--deadline", *value, toDouble);
+  if (!std::isfinite(seconds) || seconds < 0.0) {
+    std::cerr << "error: --deadline must be a non-negative number of "
+                 "seconds, got '"
+              << *value << "'\n";
+    std::exit(2);
   }
-  return 0.0;
+  return seconds;
 }
 
 /// Parse "--retries=<n>": extra attempts for transient cell failures
 /// (timeouts; worker crashes under --isolate=process). Defaults to 0.
 inline unsigned parseRetries(int argc, char** argv) {
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    if (arg.rfind("--retries=", 0) == 0) {
-      const unsigned long retries =
-          parseFlagValue("--retries", arg.substr(10),
-                         [](const std::string& s, std::size_t* consumed) {
-                           return std::stoul(s, consumed);
-                         });
-      return static_cast<unsigned>(retries);
-    }
-  }
-  return 0;
+  const std::optional<std::string> value = flagValue(argc, argv, "--retries=");
+  if (!value) return 0;
+  return static_cast<unsigned>(
+      parseFlagValue("--retries", *value, toUnsigned));
 }
 
 /// Parse "--retry-backoff-ms=<n>": retry backoff base (doubles per
 /// attempt, plus seeded jitter). Defaults to 100; 0 disables the wait,
 /// which the crash-recovery tests use to keep retries fast.
 inline unsigned parseRetryBackoffMs(int argc, char** argv) {
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    if (arg.rfind("--retry-backoff-ms=", 0) == 0) {
-      const unsigned long ms =
-          parseFlagValue("--retry-backoff-ms", arg.substr(19),
-                         [](const std::string& s, std::size_t* consumed) {
-                           return std::stoul(s, consumed);
-                         });
-      return static_cast<unsigned>(ms);
-    }
-  }
-  return 100;
+  const std::optional<std::string> value =
+      flagValue(argc, argv, "--retry-backoff-ms=");
+  if (!value) return 100;
+  return static_cast<unsigned>(
+      parseFlagValue("--retry-backoff-ms", *value, toUnsigned));
 }
 
 /// Parse "--isolate=<thread|process>": where cells execute. Thread is the
 /// default; process forks one worker subprocess per cell so crashes and
 /// hangs are contained as CrashFault/TimeoutFault records.
 inline engine::IsolationMode parseIsolate(int argc, char** argv) {
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    if (arg.rfind("--isolate=", 0) == 0) {
-      const std::string mode = arg.substr(10);
-      if (mode == "thread") return engine::IsolationMode::Thread;
-      if (mode == "process") return engine::IsolationMode::Process;
-      std::cerr << "error: --isolate must be 'thread' or 'process', got '"
-                << mode << "'\n";
-      std::exit(2);
-    }
-  }
-  return engine::IsolationMode::Thread;
+  const std::string mode =
+      flagValue(argc, argv, "--isolate=").value_or("thread");
+  if (mode == "thread") return engine::IsolationMode::Thread;
+  if (mode == "process") return engine::IsolationMode::Process;
+  std::cerr << "error: --isolate must be 'thread' or 'process', got '"
+            << mode << "'\n";
+  std::exit(2);
 }
 
 /// Parse a "<flag>=<path>" argument such as "--store=<dir>" (empty when
@@ -215,19 +184,12 @@ inline engine::IsolationMode parseIsolate(int argc, char** argv) {
 /// disable what the caller asked for.
 inline std::string parsePathFlag(int argc, char** argv,
                                  const std::string& flag) {
-  const std::string prefix = flag + "=";
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    if (arg.rfind(prefix, 0) == 0) {
-      const std::string path = arg.substr(prefix.size());
-      if (path.empty()) {
-        std::cerr << "error: " << flag << " needs a file path\n";
-        std::exit(2);
-      }
-      return path;
-    }
+  const std::optional<std::string> path = flagValue(argc, argv, flag + "=");
+  if (path && path->empty()) {
+    std::cerr << "error: " << flag << " needs a file path\n";
+    std::exit(2);
   }
-  return {};
+  return path.value_or("");
 }
 
 /// Parse the bare "--fail-fast" switch. "--fail-fast=<x>" is a usage
@@ -252,40 +214,38 @@ inline bool parseFailFast(int argc, char** argv) {
 /// otherwise stock bench binary.
 inline void applyFaultInjection(int argc, char** argv,
                                 engine::EngineOptions& options) {
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    if (arg.rfind("--inject-fault=", 0) != 0) continue;
-    const std::string spec = arg.substr(15);
-    const std::size_t colon = spec.rfind(':');
-    const std::string substr =
-        colon == std::string::npos ? "" : spec.substr(0, colon);
-    const std::string mode =
-        colon == std::string::npos ? "" : spec.substr(colon + 1);
-    if (substr.empty() || (mode != "segv" && mode != "abort" &&
-                           mode != "hang" && mode != "kill")) {
-      std::cerr << "error: --inject-fault needs "
-                   "<substr>:<segv|abort|hang|kill>, got '"
-                << spec << "'\n";
-      std::exit(2);
-    }
-    options.cellSetup = [substr, mode](const engine::CellKey& key) {
-      const std::string name =
-          key.workload + "/" + engine::configName(key.config);
-      if (name.find(substr) == std::string::npos) return;
-      if (mode == "segv") {
-        volatile int* p = nullptr;
-        *p = 1;  // NOLINT: deliberate SIGSEGV under test
-      } else if (mode == "abort") {
-        std::abort();
-      } else if (mode == "kill") {
-        std::raise(SIGKILL);
-      } else {  // hang: wedge outside the simulator loop, where only the
-                // process-isolation deadline can reach it
-        for (;;) std::this_thread::sleep_for(std::chrono::seconds(1));
-      }
-    };
-    return;
+  const std::optional<std::string> value =
+      flagValue(argc, argv, "--inject-fault=");
+  if (!value) return;
+  const std::string& spec = *value;
+  const std::size_t colon = spec.rfind(':');
+  const std::string substr =
+      colon == std::string::npos ? "" : spec.substr(0, colon);
+  const std::string mode =
+      colon == std::string::npos ? "" : spec.substr(colon + 1);
+  if (substr.empty() || (mode != "segv" && mode != "abort" &&
+                         mode != "hang" && mode != "kill")) {
+    std::cerr << "error: --inject-fault needs "
+                 "<substr>:<segv|abort|hang|kill>, got '"
+              << spec << "'\n";
+    std::exit(2);
   }
+  options.cellSetup = [substr, mode](const engine::CellKey& key) {
+    const std::string name =
+        key.workload + "/" + engine::configName(key.config);
+    if (name.find(substr) == std::string::npos) return;
+    if (mode == "segv") {
+      volatile int* p = nullptr;
+      *p = 1;  // NOLINT: deliberate SIGSEGV under test
+    } else if (mode == "abort") {
+      std::abort();
+    } else if (mode == "kill") {
+      std::raise(SIGKILL);
+    } else {  // hang: wedge outside the simulator loop, where only the
+              // process-isolation deadline can reach it
+      for (;;) std::this_thread::sleep_for(std::chrono::seconds(1));
+    }
+  };
 }
 
 /// Table mark for a failed grid cell: "✗(CrashFault)", "✗(skipped)", ...
@@ -343,20 +303,14 @@ inline engine::EngineOptions gridEngineOptions(int argc, char** argv) {
 /// Parse "--via=local|socket:<path>": where grid cells execute. Empty
 /// string = local (the default); otherwise the simd daemon's socket path.
 inline std::string parseVia(int argc, char** argv) {
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    if (arg.rfind("--via=", 0) == 0) {
-      const std::string value = arg.substr(6);
-      if (value == "local") return {};
-      if (value.rfind("socket:", 0) == 0 && value.size() > 7) {
-        return value.substr(7);
-      }
-      std::cerr << "error: --via must be 'local' or 'socket:<path>', got '"
-                << value << "'\n";
-      std::exit(2);
-    }
+  const std::optional<std::string> value = flagValue(argc, argv, "--via=");
+  if (!value || *value == "local") return {};
+  if (value->rfind("socket:", 0) == 0 && value->size() > 7) {
+    return value->substr(7);
   }
-  return {};
+  std::cerr << "error: --via must be 'local' or 'socket:<path>', got '"
+            << *value << "'\n";
+  std::exit(2);
 }
 
 /// Shared "--json[=PATH]" parser (previously copied into every artifact

@@ -17,7 +17,8 @@ void DependencyChainAnalyzer::reset() {
   maxDepth_ = 0;
   maxScaled_ = 0;
   instructions_ = 0;
-  distanceStats_.reset();
+  dependencies_ = 0;
+  meanDistance_ = 0.0;
   histogram_.fill(0);
 }
 
@@ -27,7 +28,9 @@ void DependencyChainAnalyzer::onRetireBlock(
 }
 
 void DependencyChainAnalyzer::record(std::uint64_t distance) {
-  distanceStats_.add(static_cast<double>(distance));
+  ++dependencies_;
+  meanDistance_ += (static_cast<double>(distance) - meanDistance_) /
+                   static_cast<double>(dependencies_);
   const auto bucket =
       static_cast<std::size_t>(std::bit_width(distance) - 1);
   ++histogram_[bucket < kBuckets ? bucket : kBuckets - 1];
@@ -72,7 +75,7 @@ void DependencyChainAnalyzer::onRetire(const RetiredInst& inst) {
 }
 
 double DependencyChainAnalyzer::fractionWithin(std::uint64_t window) const {
-  if (distanceStats_.count() == 0) return 0.0;
+  if (dependencies_ == 0) return 0.0;
   std::uint64_t within = 0;
   std::uint64_t total = 0;
   for (std::size_t bucket = 0; bucket < kBuckets; ++bucket) {

@@ -26,7 +26,6 @@
 
 #include "isa/trace.hpp"
 #include "support/chunk_table.hpp"
-#include "support/stats.hpp"
 
 namespace riscmp {
 
@@ -68,10 +67,8 @@ class DependencyChainAnalyzer final : public TraceObserver {
 
   /// Mean producer->consumer distance over all observed dependencies
   /// (0 unless distances are enabled).
-  [[nodiscard]] double meanDistance() const { return distanceStats_.mean(); }
-  [[nodiscard]] std::uint64_t dependencies() const {
-    return distanceStats_.count();
-  }
+  [[nodiscard]] double meanDistance() const { return meanDistance_; }
+  [[nodiscard]] std::uint64_t dependencies() const { return dependencies_; }
 
   /// Fraction of dependencies with distance <= `window` — the share of
   /// producer/consumer pairs a ROB of that size could overlap.
@@ -102,7 +99,10 @@ class DependencyChainAnalyzer final : public TraceObserver {
   std::uint64_t maxDepth_ = 0;
   std::uint64_t maxScaled_ = 0;
   std::uint64_t instructions_ = 0;
-  RunningStats distanceStats_;
+  /// Distance count and running (Welford) mean; nothing else about the
+  /// distances is read, so no other moment is kept.
+  std::uint64_t dependencies_ = 0;
+  double meanDistance_ = 0.0;
   std::array<std::uint64_t, kBuckets> histogram_{};
 };
 

@@ -7,16 +7,16 @@
 #include <string>
 #include <vector>
 
-#include "core/program.hpp"
+#include "core/kernel_map.hpp"
 #include "isa/trace.hpp"
 
 namespace riscmp {
 
 class PathLengthCounter final : public TraceObserver {
  public:
-  /// Kernel regions are taken from the program's symbol table. Throws
-  /// ValidationFault (naming both symbols) if any two kernel regions
-  /// overlap — overlap would make per-kernel attribution ambiguous.
+  /// Kernel regions are taken from the program's symbol table (KernelMap:
+  /// regions sharing a name aggregate). Throws ValidationFault (naming
+  /// both symbols) if any two kernel regions overlap.
   explicit PathLengthCounter(const Program& program);
 
   void onRetire(const RetiredInst& inst) override;
@@ -48,26 +48,13 @@ class PathLengthCounter final : public TraceObserver {
   [[nodiscard]] std::uint64_t branchCount() const;
 
  private:
-  struct Region {
-    std::uint64_t begin;
-    std::uint64_t end;
-    std::size_t kernelIndex;
-  };
-
   void attribute(const RetiredInst& inst);
 
-  /// Static attribution table (tentpole): per code word, the kernels_ slot
-  /// to credit (-1 = unattributed), indexed by RetiredInst::staticIndex.
-  /// Records without a staticIndex (hand-built tests, code executed
-  /// outside the static image) fall back to the pc range search below.
-  std::vector<std::int32_t> wordKernel_;
-
-  std::vector<Region> regions_;
+  KernelMap kernelMap_;
   std::vector<KernelCount> kernels_;
   std::array<std::uint64_t, kInstGroupCount> groups_{};
   std::uint64_t total_ = 0;
   std::uint64_t unattributed_ = 0;
-  std::size_t lastRegion_ = SIZE_MAX;
 };
 
 }  // namespace riscmp

@@ -17,7 +17,7 @@ double ThroughputModel::reciprocalThroughput(InstGroup group) const {
 
 ThroughputBoundAnalyzer::ThroughputBoundAnalyzer(ThroughputModel model,
                                                  const Program& program)
-    : model_(std::move(model)) {
+    : model_(std::move(model)), kernelMap_(program) {
   if (model_.ports.empty()) {
     throw ConfigError("throughput model '" + model_.name +
                           "' has no ports: section; the port-pressure bound "
@@ -25,38 +25,8 @@ ThroughputBoundAnalyzer::ThroughputBoundAnalyzer(ThroughputModel model,
                       {}, 0, "ports");
   }
 
-  // Validates kernel-region non-overlap (ValidationFault on violation).
-  const std::vector<std::int32_t> symbolOfWord = program.kernelWordIndex();
-
-  std::vector<std::size_t> symbolToKernel(program.kernels.size());
-  for (std::size_t s = 0; s < program.kernels.size(); ++s) {
-    const Symbol& symbol = program.kernels[s];
-    std::size_t kernelIndex = kernelNames_.size();
-    for (std::size_t i = 0; i < kernelNames_.size(); ++i) {
-      if (kernelNames_[i] == symbol.name) {
-        kernelIndex = i;
-        break;
-      }
-    }
-    if (kernelIndex == kernelNames_.size()) {
-      kernelNames_.push_back(symbol.name);
-    }
-    symbolToKernel[s] = kernelIndex;
-    regions_.push_back({symbol.addr, symbol.addr + symbol.size, kernelIndex});
-  }
-  std::sort(regions_.begin(), regions_.end(),
-            [](const Region& a, const Region& b) { return a.begin < b.begin; });
-
-  wordKernel_.resize(symbolOfWord.size());
-  for (std::size_t w = 0; w < symbolOfWord.size(); ++w) {
-    wordKernel_[w] =
-        symbolOfWord[w] < 0
-            ? -1
-            : static_cast<std::int32_t>(
-                  symbolToKernel[static_cast<std::size_t>(symbolOfWord[w])]);
-  }
-
-  contexts_.resize(kernelNames_.size() + 1);  // last slot = whole program
+  // One context per kernel, then the whole program.
+  contexts_.resize(kernelMap_.names().size() + 1);
   for (Context& context : contexts_) {
     context.portCycles.resize(model_.ports.size(), 0);
   }
@@ -69,29 +39,6 @@ void ThroughputBoundAnalyzer::onRetire(const RetiredInst& inst) {
 void ThroughputBoundAnalyzer::onRetireBlock(
     std::span<const RetiredInst> block) {
   for (const RetiredInst& inst : block) retireOne(inst);
-}
-
-std::int32_t ThroughputBoundAnalyzer::kernelOf(const RetiredInst& inst) {
-  if (inst.staticIndex < wordKernel_.size()) {
-    return wordKernel_[inst.staticIndex];
-  }
-  if (lastRegion_ != SIZE_MAX) {
-    const Region& region = regions_[lastRegion_];
-    if (inst.pc >= region.begin && inst.pc < region.end) {
-      return static_cast<std::int32_t>(region.kernelIndex);
-    }
-  }
-  const auto it = std::upper_bound(
-      regions_.begin(), regions_.end(), inst.pc,
-      [](std::uint64_t pc, const Region& region) { return pc < region.begin; });
-  if (it != regions_.begin()) {
-    const Region& region = *(it - 1);
-    if (inst.pc < region.end) {
-      lastRegion_ = static_cast<std::size_t>(&region - regions_.data());
-      return static_cast<std::int32_t>(region.kernelIndex);
-    }
-  }
-  return -1;
 }
 
 void ThroughputBoundAnalyzer::account(Context& context,
@@ -151,7 +98,7 @@ void ThroughputBoundAnalyzer::account(Context& context,
 void ThroughputBoundAnalyzer::retireOne(const RetiredInst& inst) {
   ++instructions_;
   account(contexts_.back(), inst);
-  const std::int32_t kernel = kernelOf(inst);
+  const std::int32_t kernel = kernelMap_.kernelOf(inst);
   if (kernel >= 0) {
     account(contexts_[static_cast<std::size_t>(kernel)], inst);
   }
@@ -177,10 +124,11 @@ ThroughputBoundAnalyzer::KernelBound ThroughputBoundAnalyzer::bound(
 
 std::vector<ThroughputBoundAnalyzer::KernelBound>
 ThroughputBoundAnalyzer::kernels() const {
+  const std::vector<std::string>& names = kernelMap_.names();
   std::vector<KernelBound> result;
-  result.reserve(kernelNames_.size());
-  for (std::size_t k = 0; k < kernelNames_.size(); ++k) {
-    result.push_back(bound(contexts_[k], kernelNames_[k]));
+  result.reserve(names.size());
+  for (std::size_t k = 0; k < names.size(); ++k) {
+    result.push_back(bound(contexts_[k], names[k]));
   }
   return result;
 }
@@ -191,7 +139,6 @@ ThroughputBoundAnalyzer::KernelBound ThroughputBoundAnalyzer::program() const {
 
 void ThroughputBoundAnalyzer::reset() {
   instructions_ = 0;
-  lastRegion_ = SIZE_MAX;
   for (Context& context : contexts_) {
     context.instructions = 0;
     std::fill(context.portCycles.begin(), context.portCycles.end(), 0);

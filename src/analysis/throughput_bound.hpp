@@ -6,9 +6,8 @@
 // assignment, and the CP bound is the longest latency-scaled RAW chain.
 // This observer computes both per benchmark kernel (plus whole-program)
 // from the same retired-instruction stream the engine already produces:
-//   - every retired instruction is attributed to its kernel via the
-//     staticIndex fast path (DESIGN.md §10, as in PathLengthCounter and
-//     CacheModelAnalyzer),
+//   - every retired instruction is attributed to its kernel by a
+//     KernelMap (DESIGN.md §10),
 //   - its group is assigned to the least-loaded eligible port (ties break
 //     to the lowest port index), adding one slot-cycle of pressure — the
 //     fully-pipelined single-issue-per-port assumption the OoO model also
@@ -35,7 +34,7 @@
 #include <vector>
 
 #include "analysis/critical_path.hpp"
-#include "core/program.hpp"
+#include "core/kernel_map.hpp"
 #include "isa/trace.hpp"
 #include "support/chunk_table.hpp"
 
@@ -77,8 +76,8 @@ struct ThroughputModel {
 
 class ThroughputBoundAnalyzer final : public TraceObserver {
  public:
-  /// Kernel regions come from the program's symbol table (regions sharing
-  /// a name aggregate, as in PathLengthCounter). Throws ConfigError when
+  /// Kernel regions come from the program's symbol table (KernelMap:
+  /// regions sharing a name aggregate). Throws ConfigError when
   /// the model has no ports and ValidationFault for overlapping kernel
   /// regions; retiring an instruction whose group no port accepts throws
   /// ValidationFault (the silent-fallthrough bug this PR fixes in the OoO
@@ -138,12 +137,6 @@ class ThroughputBoundAnalyzer final : public TraceObserver {
   void reset();
 
  private:
-  struct Region {
-    std::uint64_t begin;
-    std::uint64_t end;
-    std::size_t kernelIndex;
-  };
-
   /// Per-kernel accumulation state: port pressure plus a private scaled-CP
   /// chain (register and memory depths are tracked per kernel so one
   /// kernel's chain never leaks into another's bound).
@@ -157,24 +150,14 @@ class ThroughputBoundAnalyzer final : public TraceObserver {
 
   void retireOne(const RetiredInst& inst);
   void account(Context& context, const RetiredInst& inst);
-  /// kernelNames_ slot for this record, or -1 when outside every kernel.
-  [[nodiscard]] std::int32_t kernelOf(const RetiredInst& inst);
   [[nodiscard]] KernelBound bound(const Context& context,
                                   std::string name) const;
 
   ThroughputModel model_;
   std::uint64_t instructions_ = 0;
 
-  // Static attribution (see PathLengthCounter): per code word, the kernel
-  // slot to credit, indexed by RetiredInst::staticIndex, with a pc
-  // range-search fallback for records without static metadata.
-  std::vector<std::int32_t> wordKernel_;
-  std::vector<Region> regions_;
-  std::size_t lastRegion_ = SIZE_MAX;
-
-  std::vector<std::string> kernelNames_;
-  /// One context per kernel, plus the whole-program context at index
-  /// kernelNames_.size() (same layout as CacheModelAnalyzer::lineSets_).
+  KernelMap kernelMap_;
+  /// One context per kernel slot, plus the whole-program context last.
   std::vector<Context> contexts_;
 };
 

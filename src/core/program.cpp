@@ -3,8 +3,6 @@
 #include <algorithm>
 #include <cstring>
 
-#include "support/fault.hpp"
-
 namespace riscmp {
 
 void Program::loadInto(Memory& memory) const {
@@ -24,43 +22,6 @@ const Symbol* Program::kernelAt(std::uint64_t pc) const {
     if (pc >= symbol.addr && pc < symbol.addr + symbol.size) return &symbol;
   }
   return nullptr;
-}
-
-std::vector<std::int32_t> Program::kernelWordIndex() const {
-  // Validate non-overlap first: regions sorted by start must each end
-  // before the next begins. Regions may share a *name* (time-step-unrolled
-  // workloads) but never an address.
-  std::vector<std::size_t> order(kernels.size());
-  for (std::size_t i = 0; i < order.size(); ++i) order[i] = i;
-  std::sort(order.begin(), order.end(), [&](std::size_t a, std::size_t b) {
-    return kernels[a].addr < kernels[b].addr;
-  });
-  for (std::size_t i = 1; i < order.size(); ++i) {
-    const Symbol& prev = kernels[order[i - 1]];
-    const Symbol& next = kernels[order[i]];
-    if (prev.addr + prev.size > next.addr && next.size != 0 &&
-        prev.size != 0) {
-      throw ValidationFault(
-          "kernel regions overlap: '" + prev.name + "' [" +
-          fault_detail::hexAddr(prev.addr) + ", " +
-          fault_detail::hexAddr(prev.addr + prev.size) + ") and '" +
-          next.name + "' [" + fault_detail::hexAddr(next.addr) + ", " +
-          fault_detail::hexAddr(next.addr + next.size) + ")");
-    }
-  }
-
-  std::vector<std::int32_t> table(code.size(), -1);
-  for (std::size_t k = 0; k < kernels.size(); ++k) {
-    const Symbol& symbol = kernels[k];
-    if (symbol.addr < codeBase || symbol.size == 0) continue;
-    const std::uint64_t first = (symbol.addr - codeBase) / 4;
-    const std::uint64_t last =
-        (std::min(symbol.addr + symbol.size, codeEnd()) - codeBase + 3) / 4;
-    for (std::uint64_t w = first; w < last && w < table.size(); ++w) {
-      table[w] = static_cast<std::int32_t>(k);
-    }
-  }
-  return table;
 }
 
 const Symbol* Program::kernelNamed(std::string_view name) const {

@@ -49,15 +49,6 @@ struct Program {
   /// Find the kernel region containing `pc`, if any.
   [[nodiscard]] const Symbol* kernelAt(std::uint64_t pc) const;
 
-  /// Per-code-word kernel attribution table, built once so per-retire
-  /// consumers (PathLengthCounter via RetiredInst::staticIndex) can replace
-  /// a pc range search with one indexed load: entry i is the index into
-  /// `kernels` of the region containing codeBase + 4*i, or -1 when no
-  /// kernel covers that word. Validates that kernel regions do not overlap
-  /// — overlap would make attribution ambiguous (double-counting) — and
-  /// throws ValidationFault naming both offending symbols if they do.
-  [[nodiscard]] std::vector<std::int32_t> kernelWordIndex() const;
-
   /// Find a kernel by name.
   [[nodiscard]] const Symbol* kernelNamed(std::string_view name) const;
 

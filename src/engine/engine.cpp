@@ -130,8 +130,7 @@ void ExperimentEngine::runCellAttempt(
     // independent by contract, and the same trace + geometry gives each
     // replica identical behaviour.
     const uarch::mem::CacheConfig* cacheConfig =
-        (analyses & (kCacheModel | kCacheAwareCP | kMemSystem)) &&
-                options_.cacheConfigFor
+        (analyses & kNeedsCacheConfig) && options_.cacheConfigFor
             ? options_.cacheConfigFor(configs[c].arch)
             : nullptr;
     if ((analyses & kCacheModel) && cacheConfig != nullptr) {

@@ -97,6 +97,10 @@ enum AnalysisFlags : unsigned {
   kAllAnalyses = (1u << 10) - 1,
 };
 
+/// The analyses that read a core model's `caches:` section.
+inline constexpr unsigned kNeedsCacheConfig =
+    kCacheModel | kCacheAwareCP | kMemSystem;
+
 /// Identity of one experiment cell in a grid run.
 struct CellKey {
   std::string workload;

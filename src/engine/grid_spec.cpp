@@ -309,8 +309,7 @@ ResolvedGrid resolveGridSpec(const GridSpec& spec, const EngineOptions& base) {
                           name);
       }
       const unsigned analyses = effectiveAnalyses(specCopy, key.config);
-      if ((analyses & (kCacheModel | kCacheAwareCP | kMemSystem)) &&
-          !model->caches) {
+      if ((analyses & kNeedsCacheConfig) && !model->caches) {
         throw ConfigError("core model '" + model->name +
                               "' has no caches: section",
                           {}, 0, "caches");

@@ -88,4 +88,12 @@ constexpr std::uint64_t alignUp(std::uint64_t x, std::uint64_t a) {
   return (x + a - 1) & ~(a - 1);
 }
 
+/// splitmix64 finaliser: a cheap, well-spread 64-bit mix.
+constexpr std::uint64_t mix64(std::uint64_t x) {
+  x += 0x9e3779b97f4a7c15ull;
+  x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ull;
+  x = (x ^ (x >> 27)) * 0x94d049bb133111ebull;
+  return x ^ (x >> 31);
+}
+
 }  // namespace riscmp

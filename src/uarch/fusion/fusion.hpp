@@ -42,7 +42,7 @@
 #include <string_view>
 #include <vector>
 
-#include "core/program.hpp"
+#include "core/kernel_map.hpp"
 #include "isa/arch.hpp"
 #include "isa/trace.hpp"
 
@@ -156,10 +156,6 @@ class FusionPass final : public TraceObserver {
   }
 
  private:
-  /// Kernel slot for a record (-1 = outside every kernel), via the
-  /// staticIndex table with a pc range-search fallback for hand-built
-  /// streams (mirrors PathLengthCounter).
-  [[nodiscard]] std::int32_t kernelOf(const RetiredInst& inst) const;
   [[nodiscard]] bool isBranchTarget(const RetiredInst& inst) const;
 
   /// First matching enabled rule for the adjacent pair, if any.
@@ -175,17 +171,9 @@ class FusionPass final : public TraceObserver {
   std::uint64_t codeBase_ = 0;
   std::size_t codeWords_ = 0;
 
-  /// Per code word: kernel slot (-1 none), from Program::kernelWordIndex.
-  std::vector<std::int32_t> wordKernel_;
+  KernelMap kernelMap_;
   /// Per code word: 1 when some static direct branch/jump targets it.
   std::vector<std::uint8_t> branchTarget_;
-
-  struct Region {
-    std::uint64_t begin;
-    std::uint64_t end;
-    std::int32_t kernelIndex;
-  };
-  std::vector<Region> regions_;  ///< pc fallback for staticIndex-less records
 
   std::vector<TraceObserver*> downstream_;
   std::vector<RetiredInst> out_;  ///< per-forward output buffer

@@ -3,55 +3,13 @@
 #include <algorithm>
 
 namespace riscmp::uarch::mem {
-namespace {
-
-/// splitmix64 finaliser: spreads sequential line numbers before the
-/// commutative digest sum so arithmetic progressions don't cancel.
-constexpr std::uint64_t mix64(std::uint64_t x) {
-  x += 0x9e3779b97f4a7c15ull;
-  x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ull;
-  x = (x ^ (x >> 27)) * 0x94d049bb133111ebull;
-  return x ^ (x >> 31);
-}
-
-}  // namespace
 
 CacheModelAnalyzer::CacheModelAnalyzer(const CacheConfig& config,
                                        const Program& program)
-    : hierarchy_(config) {
-  // Validates kernel-region non-overlap (ValidationFault on violation).
-  const std::vector<std::int32_t> symbolOfWord = program.kernelWordIndex();
-
-  std::vector<std::size_t> symbolToKernel(program.kernels.size());
-  for (std::size_t s = 0; s < program.kernels.size(); ++s) {
-    const Symbol& symbol = program.kernels[s];
-    std::size_t kernelIndex = kernels_.size();
-    for (std::size_t i = 0; i < kernels_.size(); ++i) {
-      if (kernels_[i].name == symbol.name) {
-        kernelIndex = i;
-        break;
-      }
-    }
-    if (kernelIndex == kernels_.size()) {
-      KernelStats stats;
-      stats.name = symbol.name;
-      kernels_.push_back(std::move(stats));
-    }
-    symbolToKernel[s] = kernelIndex;
-    regions_.push_back({symbol.addr, symbol.addr + symbol.size, kernelIndex});
+    : hierarchy_(config), kernelMap_(program) {
+  for (const std::string& name : kernelMap_.names()) {
+    kernels_.push_back({.name = name});
   }
-  std::sort(regions_.begin(), regions_.end(),
-            [](const Region& a, const Region& b) { return a.begin < b.begin; });
-
-  wordKernel_.resize(symbolOfWord.size());
-  for (std::size_t w = 0; w < symbolOfWord.size(); ++w) {
-    wordKernel_[w] =
-        symbolOfWord[w] < 0
-            ? -1
-            : static_cast<std::int32_t>(
-                  symbolToKernel[static_cast<std::size_t>(symbolOfWord[w])]);
-  }
-
   lineSets_.resize(kernels_.size() + 1);  // last slot = whole program
 }
 
@@ -61,56 +19,23 @@ void CacheModelAnalyzer::onRetireBlock(std::span<const RetiredInst> block) {
   for (const RetiredInst& inst : block) retireOne(inst);
 }
 
-std::int32_t CacheModelAnalyzer::kernelOf(const RetiredInst& inst) {
-  if (inst.staticIndex < wordKernel_.size()) {
-    return wordKernel_[inst.staticIndex];
-  }
-  if (lastRegion_ != SIZE_MAX) {
-    const Region& region = regions_[lastRegion_];
-    if (inst.pc >= region.begin && inst.pc < region.end) {
-      return static_cast<std::int32_t>(region.kernelIndex);
-    }
-  }
-  const auto it = std::upper_bound(
-      regions_.begin(), regions_.end(), inst.pc,
-      [](std::uint64_t pc, const Region& region) { return pc < region.begin; });
-  if (it != regions_.begin()) {
-    const Region& region = *(it - 1);
-    if (inst.pc < region.end) {
-      lastRegion_ = static_cast<std::size_t>(&region - regions_.data());
-      return static_cast<std::int32_t>(region.kernelIndex);
-    }
-  }
-  return -1;
-}
-
 void CacheModelAnalyzer::recordLines(std::uint64_t addr, std::uint32_t size,
                                      std::int32_t kernel) {
   const std::uint64_t first = hierarchy_.lineOf(addr);
   const std::uint64_t last =
       hierarchy_.lineOf(addr + std::max(size, 1u) - 1);
   for (std::uint64_t line = first; line <= last; ++line) {
-    FlatHashMap64<std::uint8_t>& program = lineSets_.back();
-    if (program.find(line) == nullptr) {
-      program.assign(line, 1);
-      ++footprintLines_;
-      lineSetDigest_ += mix64(line);
-    }
+    lineSets_.back().insert(line, footprintLines_, lineSetDigest_);
     if (kernel < 0) continue;
-    FlatHashMap64<std::uint8_t>& set =
-        lineSets_[static_cast<std::size_t>(kernel)];
-    if (set.find(line) == nullptr) {
-      set.assign(line, 1);
-      KernelStats& stats = kernels_[static_cast<std::size_t>(kernel)];
-      ++stats.footprintLines;
-      stats.lineSetDigest += mix64(line);
-    }
+    KernelStats& stats = kernels_[static_cast<std::size_t>(kernel)];
+    lineSets_[static_cast<std::size_t>(kernel)].insert(
+        line, stats.footprintLines, stats.lineSetDigest);
   }
 }
 
 void CacheModelAnalyzer::retireOne(const RetiredInst& inst) {
   ++instructions_;
-  const std::int32_t kernel = kernelOf(inst);
+  const std::int32_t kernel = kernelMap_.kernelOf(inst);
   KernelStats* stats =
       kernel < 0 ? nullptr : &kernels_[static_cast<std::size_t>(kernel)];
   if (stats != nullptr) ++stats->instructions;
@@ -138,13 +63,12 @@ void CacheModelAnalyzer::reset() {
   instructions_ = 0;
   footprintLines_ = 0;
   lineSetDigest_ = 0;
-  lastRegion_ = SIZE_MAX;
   for (KernelStats& stats : kernels_) {
     const std::string name = stats.name;
     stats = KernelStats{};
     stats.name = name;
   }
-  for (FlatHashMap64<std::uint8_t>& set : lineSets_) set.clear();
+  for (FootprintSet& set : lineSets_) set.clear();
 }
 
 }  // namespace riscmp::uarch::mem

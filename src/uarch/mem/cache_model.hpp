@@ -1,9 +1,8 @@
 // Block-batched cache-model trace observer (ISSUE 5 tentpole).
 //
 // Drives a MemoryHierarchy from the retired-instruction stream and
-// attributes every demand access to the benchmark kernel that issued it,
-// using the same staticIndex fast path as PathLengthCounter (DESIGN.md
-// §10): one table load per retire instead of a pc range search. Reports
+// attributes every demand access to the benchmark kernel that issued it
+// through a KernelMap (DESIGN.md §10): one table load per retire. Reports
 // per-kernel and whole-program hits/misses/MPKI, prefetch accuracy, and an
 // order-independent digest of the set of cache lines each kernel touched —
 // the E11 cross-ISA invariant compares those digests between RV64 and A64
@@ -16,17 +15,17 @@
 #include <string>
 #include <vector>
 
-#include "core/program.hpp"
+#include "core/kernel_map.hpp"
 #include "isa/trace.hpp"
-#include "support/flat_hash.hpp"
+#include "support/footprint_set.hpp"
 #include "uarch/mem/hierarchy.hpp"
 
 namespace riscmp::uarch::mem {
 
 class CacheModelAnalyzer final : public TraceObserver {
  public:
-  /// Kernel regions come from the program's symbol table (regions sharing
-  /// a name aggregate, as in PathLengthCounter). Throws ConfigError for
+  /// Kernel regions come from the program's symbol table (KernelMap:
+  /// regions sharing a name aggregate). Throws ConfigError for
   /// invalid geometry and ValidationFault for overlapping kernel regions.
   CacheModelAnalyzer(const CacheConfig& config, const Program& program);
 
@@ -90,15 +89,7 @@ class CacheModelAnalyzer final : public TraceObserver {
   void reset();
 
  private:
-  struct Region {
-    std::uint64_t begin;
-    std::uint64_t end;
-    std::size_t kernelIndex;
-  };
-
   void retireOne(const RetiredInst& inst);
-  /// kernels_ slot for this record, or -1 when outside every kernel.
-  [[nodiscard]] std::int32_t kernelOf(const RetiredInst& inst);
   void recordLines(std::uint64_t addr, std::uint32_t size,
                    std::int32_t kernel);
 
@@ -107,17 +98,11 @@ class CacheModelAnalyzer final : public TraceObserver {
   std::uint64_t footprintLines_ = 0;
   std::uint64_t lineSetDigest_ = 0;
 
-  // Static attribution (see PathLengthCounter): per code word, the
-  // kernels_ slot to credit, indexed by RetiredInst::staticIndex, with a
-  // pc range-search fallback for records without static metadata.
-  std::vector<std::int32_t> wordKernel_;
-  std::vector<Region> regions_;
-  std::size_t lastRegion_ = SIZE_MAX;
-
+  KernelMap kernelMap_;
   std::vector<KernelStats> kernels_;
-  /// Membership sets behind footprintLines/lineSetDigest: one per kernel,
-  /// plus one whole-program set at index kernels_.size().
-  std::vector<FlatHashMap64<std::uint8_t>> lineSets_;
+  /// Line sets behind footprintLines/lineSetDigest: one per kernel, plus
+  /// one whole-program set at index kernels_.size().
+  std::vector<FootprintSet> lineSets_;
 };
 
 }  // namespace riscmp::uarch::mem

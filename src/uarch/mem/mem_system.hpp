@@ -31,9 +31,9 @@
 #include <string>
 #include <vector>
 
-#include "core/program.hpp"
+#include "core/kernel_map.hpp"
 #include "isa/trace.hpp"
-#include "support/flat_hash.hpp"
+#include "support/footprint_set.hpp"
 #include "uarch/mem/hierarchy.hpp"
 #include "uarch/mem/tlb.hpp"
 
@@ -106,10 +106,10 @@ class MemSystemAnalyzer final : public TraceObserver {
  public:
   /// `coreCounts` selects the shared-L2 scaling points (e.g. {1, 2, 4});
   /// duplicates and zeros are ignored. Kernel regions come from the
-  /// program's symbol table exactly as in CacheModelAnalyzer. Throws
-  /// ConfigError for invalid geometry and ValidationFault for overlapping
-  /// kernel regions. A missing `config.tlb` falls back to TlbConfig{}
-  /// defaults so page-set digests are always defined.
+  /// program's symbol table (KernelMap). Throws ConfigError for invalid
+  /// geometry and ValidationFault for overlapping kernel regions. A
+  /// missing `config.tlb` falls back to TlbConfig{} defaults so page-set
+  /// digests are always defined.
   MemSystemAnalyzer(const CacheConfig& config, const Program& program,
                     std::span<const unsigned> coreCounts);
 
@@ -148,14 +148,7 @@ class MemSystemAnalyzer final : public TraceObserver {
     void reset();
   };
 
-  struct Region {
-    std::uint64_t begin;
-    std::uint64_t end;
-    std::size_t kernelIndex;
-  };
-
   void retireOne(const RetiredInst& inst);
-  [[nodiscard]] std::int32_t kernelOf(const RetiredInst& inst);
   void accessMemory(std::uint64_t addr, std::uint32_t size, bool write,
                     std::int32_t kernel);
 
@@ -167,13 +160,11 @@ class MemSystemAnalyzer final : public TraceObserver {
   std::uint64_t footprintPages_ = 0;
   std::uint64_t pageSetDigest_ = 0;
 
-  std::vector<std::int32_t> wordKernel_;
-  std::vector<Region> regions_;
-  std::size_t lastRegion_ = SIZE_MAX;
-
+  KernelMap kernelMap_;
   std::vector<MemKernelStats> kernels_;
-  /// Page membership sets: one per kernel, plus the whole program last.
-  std::vector<FlatHashMap64<std::uint8_t>> pageSets_;
+  /// Page sets behind footprintPages/pageSetDigest: one per kernel, plus
+  /// the whole program last.
+  std::vector<FootprintSet> pageSets_;
 };
 
 }  // namespace riscmp::uarch::mem

@@ -118,5 +118,27 @@ TEST(PathLength, ResetKeepsRegionsAndZerosCounts) {
   EXPECT_EQ(counter.kernelCount("copy"), 1u);
 }
 
+// A zero-size symbol inside a kernel covers nothing: a record past it
+// still counts toward the kernel whether or not it carries a staticIndex.
+TEST(PathLength, ZeroSizeSymbolInsideKernelHidesNothing) {
+  Program program;
+  program.codeBase = Program::kCodeBase;
+  program.code.assign(0x40, 0);  // [0x10000, 0x10100)
+  program.kernels = {{"A", 0x10000, 0x100}, {"Z", 0x10080, 0}};
+  PathLengthCounter counter(program);
+
+  RetiredInst stamped;
+  stamped.pc = 0x100c0;
+  stamped.staticIndex = 0x30;
+  counter.onRetire(stamped);
+  RetiredInst unstamped;
+  unstamped.pc = 0x100c0;
+  counter.onRetire(unstamped);
+
+  EXPECT_EQ(counter.kernelCount("A"), 2u);
+  EXPECT_EQ(counter.kernelCount("Z"), 0u);
+  EXPECT_EQ(counter.unattributed(), 0u);
+}
+
 }  // namespace
 }  // namespace riscmp
