@@ -27,7 +27,10 @@
 #include "core/machine.hpp"
 #include "kgen/compile.hpp"
 #include "riscv/decode.hpp"
+#include "uarch/mem/cache_aware_cp.hpp"
 #include "uarch/mem/cache_model.hpp"
+#include "uarch/mem/mem_system.hpp"
+#include "uarch/mem/memory_pass.hpp"
 #include "uarch/ooo_core.hpp"
 #include "workloads/workloads.hpp"
 
@@ -181,6 +184,49 @@ void BM_CacheModel(benchmark::State& state) {
   state.SetItemsProcessed(static_cast<std::int64_t>(instructions));
 }
 BENCHMARK(BM_CacheModel)->Arg(0)->Arg(1);
+
+/// The E11–E14 memory models on a STREAM whose three 256 KiB arrays
+/// overflow the 256 KiB L2, so the hierarchy and the shared L2s miss and
+/// write back as a memory-bound kernel does. Arg(0) attaches the three
+/// standalone analyzers (cache model, cache-aware CP, memory system with
+/// cores {1, 2, 4}); Arg(1) attaches the one MemoryPass the engine uses
+/// for the same three results.
+void BM_MemoryPass(benchmark::State& state) {
+  static const kgen::Module module =
+      workloads::makeStream({.n = 32'768, .reps = 2});
+  const auto compiled =
+      kgen::compile(module, Arch::Rv64, kgen::CompilerEra::Gcc12);
+  const uarch::CoreModel model = uarch::CoreModel::named("riscv-tx2");
+  const uarch::mem::CacheConfig& caches = *model.caches;
+  const std::vector<unsigned> cores = {1, 2, 4};
+  MachineOptions options;
+  options.maxInstructions = 1'000'000'000;
+  const bool onePass = state.range(0) != 0;
+  std::uint64_t instructions = 0;
+  for (auto _ : state) {
+    std::optional<uarch::mem::CacheModelAnalyzer> cacheModel;
+    std::optional<uarch::mem::CacheAwareCpAnalyzer> cacheAwareCp;
+    std::optional<uarch::mem::MemSystemAnalyzer> memSystem;
+    std::optional<uarch::mem::MemoryPass> pass;
+    Machine machine(compiled.program, options);
+    if (onePass) {
+      machine.addObserver(pass.emplace(caches, &compiled.program,
+                                       uarch::mem::MemoryPassOptions{
+                                           .cacheStats = true,
+                                           .cpLatencies = &model.latencies,
+                                           .memSystem = true,
+                                           .coreCounts = cores}));
+    } else {
+      machine.addObserver(cacheModel.emplace(caches, compiled.program));
+      machine.addObserver(cacheAwareCp.emplace(model.latencies, caches));
+      machine.addObserver(
+          memSystem.emplace(caches, compiled.program, cores));
+    }
+    instructions += machine.run().instructions;
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(instructions));
+}
+BENCHMARK(BM_MemoryPass)->Arg(0)->Arg(1)->Unit(benchmark::kMillisecond);
 
 void BM_CompileStreamRv64(benchmark::State& state) {
   for (auto _ : state) {

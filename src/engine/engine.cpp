@@ -16,7 +16,7 @@
 #include "support/fault.hpp"
 #include "support/json_lite.hpp"
 #include "support/table.hpp"
-#include "uarch/mem/cache_aware_cp.hpp"
+#include "uarch/mem/memory_pass.hpp"
 
 namespace riscmp::engine {
 
@@ -97,9 +97,7 @@ void ExperimentEngine::runCellAttempt(
     std::optional<PathLengthCounter> pathLength;
     std::optional<DependencyChainAnalyzer> chain;
     std::optional<WindowedCPAnalyzer> windowed;
-    std::optional<uarch::mem::CacheModelAnalyzer> cacheModel;
-    std::optional<uarch::mem::CacheAwareCpAnalyzer> cacheAwareCp;
-    std::optional<uarch::mem::MemSystemAnalyzer> memSystem;
+    std::optional<uarch::mem::MemoryPass> memoryPass;
     std::optional<ThroughputBoundAnalyzer> throughputBound;
     std::optional<PathLengthCounter> fusedPathLength;
     std::optional<DependencyChainAnalyzer> fusedChain;
@@ -126,24 +124,22 @@ void ExperimentEngine::runCellAttempt(
           options_.windowSizes.empty() ? WindowedCPAnalyzer::paperWindowSizes()
                                        : options_.windowSizes));
     }
-    // Both cache analyses own a private MemoryHierarchy: observers are
-    // independent by contract, and the same trace + geometry gives each
-    // replica identical behaviour.
+    // The cache model, cache-aware CP and memory system share one
+    // MemoryPass: one hierarchy simulation per access feeds all three.
     const uarch::mem::CacheConfig* cacheConfig =
         (analyses & kNeedsCacheConfig) && options_.cacheConfigFor
             ? options_.cacheConfigFor(configs[c].arch)
             : nullptr;
-    if ((analyses & kCacheModel) && cacheConfig != nullptr) {
-      observers.push_back(
-          &cacheModel.emplace(*cacheConfig, compiled->program));
-    }
-    if ((analyses & kMemSystem) && cacheConfig != nullptr) {
-      observers.push_back(&memSystem.emplace(*cacheConfig, compiled->program,
-                                             options_.memCores));
-    }
-    if ((analyses & kCacheAwareCP) && cacheConfig != nullptr &&
-        latencies != nullptr) {
-      observers.push_back(&cacheAwareCp.emplace(*latencies, *cacheConfig));
+    const uarch::mem::MemoryPassOptions memoryOptions{
+        .cacheStats = (analyses & kCacheModel) != 0,
+        .cpLatencies = (analyses & kCacheAwareCP) ? latencies : nullptr,
+        .memSystem = (analyses & kMemSystem) != 0,
+        .coreCounts = options_.memCores};
+    if (cacheConfig != nullptr &&
+        (memoryOptions.cacheStats || memoryOptions.cpLatencies != nullptr ||
+         memoryOptions.memSystem)) {
+      observers.push_back(&memoryPass.emplace(
+          *cacheConfig, &compiled->program, memoryOptions));
     }
     if ((analyses & kThroughputBound) && options_.throughputModelFor) {
       if (const ThroughputModel* model =
@@ -189,22 +185,22 @@ void ExperimentEngine::runCellAttempt(
       out.deps.within16 = chain->fractionWithin(16);
       out.deps.within64 = chain->fractionWithin(64);
     }
-    if (cacheModel) {
+    if (memoryPass && memoryOptions.cacheStats) {
       out.hasCache = true;
-      out.cache = cacheModel->totals();
-      out.cacheFootprintLines = cacheModel->footprintLines();
-      out.cacheLineSetDigest = cacheModel->lineSetDigest();
-      out.cacheKernels = cacheModel->kernels();
+      out.cache = memoryPass->hierarchyStats();
+      out.cacheFootprintLines = memoryPass->footprintLines();
+      out.cacheLineSetDigest = memoryPass->lineSetDigest();
+      out.cacheKernels = memoryPass->cacheKernels();
     }
-    if (cacheAwareCp) {
+    if (memoryPass && memoryOptions.cpLatencies != nullptr) {
       out.hasCacheAwareCp = true;
-      out.cacheAwareCriticalPath = cacheAwareCp->criticalPath();
+      out.cacheAwareCriticalPath = memoryPass->criticalPath();
     }
-    if (memSystem) {
+    if (memoryPass && memoryOptions.memSystem) {
       out.hasMemSystem = true;
-      out.memSystem = memSystem->summary();
-      out.memKernels = memSystem->kernels();
-      out.memScaling = memSystem->scaling();
+      out.memSystem = memoryPass->memSummary();
+      out.memKernels = memoryPass->memKernels();
+      out.memScaling = memoryPass->scaling();
     }
     if (throughputBound) {
       out.hasThroughput = true;

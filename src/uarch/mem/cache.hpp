@@ -57,22 +57,22 @@ class Cache {
   void reset();
 
  private:
-  struct Way {
-    std::uint64_t line = 0;
-    std::uint64_t lastUse = 0;  ///< global access stamp for true LRU
-    bool valid = false;
-    bool dirty = false;
-    bool prefetched = false;
-  };
+  enum Flag : std::uint8_t { kDirty = 1, kPrefetched = 2 };
 
   [[nodiscard]] std::size_t setBase(std::uint64_t line) const {
     return static_cast<std::size_t>(line & (sets_ - 1)) * ways_;
   }
+  /// Index of the way holding `line`, or ~0 when it is not resident.
+  [[nodiscard]] std::size_t find(std::uint64_t line) const;
 
   std::uint32_t sets_;
   std::uint32_t ways_;
   std::uint64_t tick_ = 0;
-  std::vector<Way> ways_storage_;
+  // Per way, set-major, one array per field so a lookup scans only tags.
+  // Stamps come from ++tick_, so a zero stamp marks a never-filled way.
+  std::vector<std::uint64_t> lines_;
+  std::vector<std::uint64_t> lastUse_;  ///< global access stamp for true LRU
+  std::vector<std::uint8_t> flags_;
 };
 
 }  // namespace riscmp::uarch::mem

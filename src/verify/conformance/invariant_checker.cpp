@@ -33,6 +33,7 @@ TraceInvariantChecker::TraceInvariantChecker(const Program& program,
                                              std::uint64_t arenaEnd,
                                              Options options)
     : program_(program),
+      kernelMap_(program),
       arenaBase_(arenaBase),
       arenaEnd_(arenaEnd),
       options_(options) {
@@ -114,12 +115,12 @@ void TraceInvariantChecker::retireOne(const RetiredInst& inst) {
                         fault_detail::hexAddr(codeBase) + ", " +
                         fault_detail::hexAddr(codeEnd) + ")");
     }
-    if (const Symbol* kernel = program_.kernelAt(inst.pc)) {
-      if (program_.kernelAt(target) != kernel) {
-        violate(inst, "branch in kernel '" + kernel->name + "' to " +
-                          fault_detail::hexAddr(target) +
-                          " escapes the kernel region");
-      }
+    const std::int32_t kernel = kernelMap_.kernelOf(inst);
+    if (kernel >= 0 && kernelMap_.kernelAt(target) != kernel) {
+      violate(inst, "branch in kernel '" +
+                        kernelMap_.names()[static_cast<std::size_t>(kernel)] +
+                        "' to " + fault_detail::hexAddr(target) +
+                        " escapes the kernel region");
     }
   }
 

@@ -15,8 +15,9 @@
 //                             *trace record* is faithful to what executed.
 //   * branch targets        — every taken branch lands 4-aligned inside the
 //                             code image, and a branch retired inside a
-//                             kernel region stays inside that kernel (kgen
-//                             emits no cross-kernel control flow).
+//                             kernel stays inside that kernel (kgen emits
+//                             no cross-kernel control flow; regions sharing
+//                             a name are one kernel, as in KernelMap).
 //   * retired count         — the checker's own count must agree with
 //                             RunResult::instructions and with the
 //                             path-length analysis (checkRetiredConsistency).
@@ -32,6 +33,7 @@
 #include <cstdint>
 #include <span>
 
+#include "core/kernel_map.hpp"
 #include "core/program.hpp"
 #include "isa/trace.hpp"
 
@@ -81,6 +83,7 @@ class TraceInvariantChecker final : public TraceObserver {
                             const std::string& what) const;
 
   const Program& program_;
+  KernelMap kernelMap_;
   std::uint64_t arenaBase_;
   std::uint64_t arenaEnd_;
   Options options_;

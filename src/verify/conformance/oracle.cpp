@@ -3,9 +3,11 @@
 #include <cmath>
 #include <cstring>
 #include <sstream>
+#include <string_view>
 #include <utility>
 
 #include "analysis/path_length.hpp"
+#include "core/kernel_map.hpp"
 #include "core/machine.hpp"
 #include "kgen/interp.hpp"
 #include "support/fault.hpp"
@@ -29,26 +31,47 @@ struct Fnv64 {
   }
   void u64(std::uint64_t v) { bytes(&v, sizeof v); }
   void u8(std::uint8_t v) { bytes(&v, sizeof v); }
-  void str(const std::string& s) {
+  void str(std::string_view s) {
     bytes(s.data(), s.size());
     u8(0);  // delimit so ("ab","c") != ("a","bc")
   }
 };
 
-/// One store record, attributed to the enclosing kernel ("" for stores
-/// outside every kernel region, i.e. the epilogue scalar spills).
+/// One retired store, attributed to the enclosing kernel's KernelMap slot
+/// (-1 for stores outside every kernel region, i.e. the epilogue scalar
+/// spills).
 struct StoreRec {
-  std::string kernel;
+  std::int32_t kernel = -1;
   std::uint64_t addr = 0;
   std::uint8_t size = 0;
+};
 
-  bool operator==(const StoreRec&) const = default;
+/// A run's flattened store stream and the kernel names its slots index.
+/// Streams of different compilations compare by kernel name, address and
+/// size.
+struct StoreStream {
+  std::vector<std::string> kernels;
+  std::vector<StoreRec> stores;
+
+  /// Kernel name of store `i`, empty outside every kernel.
+  [[nodiscard]] std::string_view kernelName(std::size_t i) const {
+    const std::int32_t kernel = stores[i].kernel;
+    return kernel < 0 ? std::string_view()
+                      : kernels[static_cast<std::size_t>(kernel)];
+  }
+  [[nodiscard]] bool sameStore(std::size_t i, const StoreStream& other) const {
+    return stores[i].addr == other.stores[i].addr &&
+           stores[i].size == other.stores[i].size &&
+           kernelName(i) == other.kernelName(i);
+  }
 };
 
 /// Streams the trace into the trace digest and the flattened store stream.
 class TraceRecorder final : public TraceObserver {
  public:
-  explicit TraceRecorder(const Program& program) : program_(program) {}
+  explicit TraceRecorder(const Program& program) : kernelMap_(program) {
+    stores_.kernels = kernelMap_.names();
+  }
 
   void onRetireBlock(std::span<const RetiredInst> block) override {
     for (const RetiredInst& inst : block) onRetire(inst);
@@ -66,14 +89,12 @@ class TraceRecorder final : public TraceObserver {
       digest_.u64(load.addr);
       digest_.u8(load.size);
     }
-    const Symbol* kernel =
-        inst.stores.empty() ? nullptr : program_.kernelAt(inst.pc);
+    const std::int32_t kernel =
+        inst.stores.empty() ? -1 : kernelMap_.kernelOf(inst);
     for (const MemAccess& store : inst.stores) {
       digest_.u64(store.addr);
       digest_.u8(store.size);
-      stores_.push_back(
-          StoreRec{kernel != nullptr ? kernel->name : std::string(),
-                   store.addr, store.size});
+      stores_.stores.push_back(StoreRec{kernel, store.addr, store.size});
     }
     if (inst.isBranch) {
       digest_.u8(inst.branchTaken ? 2 : 1);
@@ -82,22 +103,22 @@ class TraceRecorder final : public TraceObserver {
   }
 
   [[nodiscard]] std::uint64_t traceDigest() const { return digest_.h; }
-  [[nodiscard]] const std::vector<StoreRec>& stores() const { return stores_; }
+  [[nodiscard]] const StoreStream& stores() const { return stores_; }
 
   [[nodiscard]] std::uint64_t storeDigest() const {
     Fnv64 digest;
-    for (const StoreRec& store : stores_) {
-      digest.str(store.kernel);
-      digest.u64(store.addr);
-      digest.u8(store.size);
+    for (std::size_t i = 0; i < stores_.stores.size(); ++i) {
+      digest.str(stores_.kernelName(i));
+      digest.u64(stores_.stores[i].addr);
+      digest.u8(stores_.stores[i].size);
     }
     return digest.h;
   }
 
  private:
-  const Program& program_;
+  KernelMap kernelMap_;
   Fnv64 digest_;
-  std::vector<StoreRec> stores_;
+  StoreStream stores_;
 };
 
 /// Bit-exact double comparison where NaN == NaN (the rule the existing
@@ -107,12 +128,14 @@ bool sameValue(double a, double b) {
   return a == b || (std::isnan(a) && std::isnan(b));
 }
 
-std::string describeStore(const StoreRec& store) {
+/// Store `i` of `stream`, or the end of the stream.
+std::string describeStore(const StoreStream& stream, std::size_t i) {
+  if (i >= stream.stores.size()) return "<stream ended>";
+  const std::string_view kernel = stream.kernelName(i);
   std::ostringstream out;
-  out << (store.kernel.empty() ? std::string("<outside kernels>")
-                               : store.kernel)
-      << " " << fault_detail::hexAddr(store.addr) << " size "
-      << static_cast<int>(store.size);
+  out << (kernel.empty() ? std::string_view("<outside kernels>") : kernel)
+      << " " << fault_detail::hexAddr(stream.stores[i].addr) << " size "
+      << static_cast<int>(stream.stores[i].size);
   return out.str();
 }
 
@@ -208,7 +231,7 @@ OracleReport runOracle(const kgen::Module& module,
   OracleReport report;
   // Store stream of the first configuration that ran to completion; every
   // later run must match it exactly.
-  std::vector<StoreRec> referenceStores;
+  StoreStream referenceStores;
   std::string referenceLabel;
 
   for (const OracleConfig& config : configs) {
@@ -313,29 +336,22 @@ OracleReport runOracle(const kgen::Module& module,
     if (referenceLabel.empty()) {
       referenceStores = recorder.stores();
       referenceLabel = label;
-    } else if (recorder.stores() != referenceStores) {
-      const std::vector<StoreRec>& mine = recorder.stores();
+    } else {
+      const StoreStream& mine = recorder.stores();
+      const std::size_t count = mine.stores.size();
+      const std::size_t want = referenceStores.stores.size();
       std::size_t at = 0;
-      while (at < mine.size() && at < referenceStores.size() &&
-             mine[at] == referenceStores[at]) {
+      while (at < count && at < want && mine.sameStore(at, referenceStores)) {
         ++at;
       }
-      std::ostringstream out;
-      out << "store stream diverges from " << referenceLabel << " at store #"
-          << at << " (" << mine.size() << " vs " << referenceStores.size()
-          << " stores): ";
-      if (at < mine.size()) {
-        out << describeStore(mine[at]);
-      } else {
-        out << "<stream ended>";
+      if (at != count || at != want) {
+        std::ostringstream out;
+        out << "store stream diverges from " << referenceLabel
+            << " at store #" << at << " (" << count << " vs " << want
+            << " stores): " << describeStore(mine, at) << " vs "
+            << describeStore(referenceStores, at);
+        fail(Finding::Kind::Divergence, out.str());
       }
-      out << " vs ";
-      if (at < referenceStores.size()) {
-        out << describeStore(referenceStores[at]);
-      } else {
-        out << "<stream ended>";
-      }
-      fail(Finding::Kind::Divergence, out.str());
     }
 
     RunDigest digest;

@@ -15,9 +15,6 @@
 #include "uarch/core_model.hpp"
 
 namespace riscmp::verify {
-namespace {
-
-std::string hexWord(std::uint32_t word) { return fault_detail::hexWord(word); }
 
 OutcomeKind outcomeForFault(const Fault& fault) {
   switch (fault.kind()) {
@@ -28,14 +25,21 @@ OutcomeKind outcomeForFault(const Fault& fault) {
     case FaultKind::Trap:
       return OutcomeKind::TrapFault;
     case FaultKind::Budget:
+    case FaultKind::Timeout:  // the wall-clock hang guard
       return OutcomeKind::BudgetExceeded;
     case FaultKind::Config:
       return OutcomeKind::ConfigError;
     case FaultKind::Validation:
       return OutcomeKind::Divergence;
+    case FaultKind::Crash:  // a worker died: an engine escape
+      return OutcomeKind::Unclassified;
   }
   return OutcomeKind::Unclassified;
 }
+
+namespace {
+
+std::string hexWord(std::uint32_t word) { return fault_detail::hexWord(word); }
 
 /// Shared decode→disassemble→assemble round-trip; Decoder/Disasm/Asm are
 /// the per-ISA entry points.

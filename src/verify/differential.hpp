@@ -24,6 +24,7 @@
 
 #include "isa/arch.hpp"
 #include "kgen/compile.hpp"
+#include "support/fault.hpp"
 #include "verify/injector.hpp"
 
 namespace riscmp::verify {
@@ -64,6 +65,11 @@ struct CampaignStats {
   }
   [[nodiscard]] std::string summary() const;
 };
+
+/// The outcome a caught Fault stands for. The two hang guards (instruction
+/// budget, wall-clock timeout) are BudgetExceeded; a crashed worker is an
+/// engine escape, so Unclassified, and fails a campaign.
+OutcomeKind outcomeForFault(const Fault& fault);
 
 /// Classify one (possibly corrupted) word: decode, disassemble, and
 /// re-assemble. Never throws.

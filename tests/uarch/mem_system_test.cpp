@@ -47,7 +47,7 @@ CacheConfig tinyConfig(PrefetchKind prefetch = PrefetchKind::None) {
 }
 
 RetiredInst loadAt(std::uint64_t pc, std::uint64_t addr,
-                   std::uint32_t size = 8) {
+                   std::uint8_t size = 8) {
   RetiredInst inst;
   inst.pc = pc;
   inst.group = InstGroup::Load;

@@ -224,7 +224,8 @@ TEST(OoOCore, ResetEqualsFresh) {
       RetiredInst st;
       st.group = InstGroup::Store;
       st.srcs.push_back(Reg::gp(1));
-      st.stores.push_back(MemAccess{0x100 + 8 * (i % 16), 8});
+      st.stores.push_back(
+          MemAccess{static_cast<std::uint64_t>(0x100 + 8 * (i % 16)), 8});
       out.push_back(st);
       RetiredInst branch;
       branch.group = InstGroup::Branch;

@@ -6,10 +6,16 @@
 // taxonomy, which is always an engine bug.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <bit>
+#include <csignal>
+#include <memory>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "kgen/compile.hpp"
+#include "support/fault.hpp"
 #include "verify/differential.hpp"
 #include "verify/injector.hpp"
 #include "workloads/workloads.hpp"
@@ -141,6 +147,38 @@ TEST(FaultInjection, ConfigCampaignAllClassified) {
             300u)
       << stats.summary();
   EXPECT_GT(stats.count(OutcomeKind::ConfigError), 0u) << stats.summary();
+}
+
+// Every FaultKind maps to its outcome. The two hang guards share
+// BudgetExceeded; a crashed worker is an engine escape and stays
+// Unclassified, so a campaign that meets one fails.
+TEST(FaultInjection, EveryFaultKindHasAnOutcome) {
+  const std::vector<std::pair<std::shared_ptr<const Fault>, OutcomeKind>>
+      cases = {
+          {std::make_shared<DecodeFault>(0xdeadbeef, 0x1000),
+           OutcomeKind::DecodeFault},
+          {std::make_shared<MemoryFault>(0x10, 8), OutcomeKind::MemoryFault},
+          {std::make_shared<TrapFault>("ebreak", 0x1000),
+           OutcomeKind::TrapFault},
+          {std::make_shared<BudgetExceeded>(100),
+           OutcomeKind::BudgetExceeded},
+          {std::make_shared<ConfigError>("bad value"),
+           OutcomeKind::ConfigError},
+          {std::make_shared<ValidationFault>("mismatch"),
+           OutcomeKind::Divergence},
+          {std::make_shared<TimeoutFault>(50), OutcomeKind::BudgetExceeded},
+          {std::make_shared<CrashFault>(SIGSEGV, "cell"),
+           OutcomeKind::Unclassified},
+      };
+  std::vector<bool> seen(static_cast<std::size_t>(FaultKind::Crash) + 1);
+  for (const auto& [fault, want] : cases) {
+    SCOPED_TRACE(std::string(faultKindName(fault->kind())));
+    EXPECT_EQ(outcomeForFault(*fault), want);
+    seen[static_cast<std::size_t>(fault->kind())] = true;
+  }
+  EXPECT_EQ(std::count(seen.begin(), seen.end(), true),
+            static_cast<std::ptrdiff_t>(seen.size()))
+      << "a FaultKind has no case";
 }
 
 }  // namespace
