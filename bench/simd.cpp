@@ -6,9 +6,11 @@
 // rendered reports are byte-identical to local execution. One process
 // holds the shared CompileCache for its lifetime, and --store=DIR adds the
 // persistent cross-process ResultStore — a warm daemon answers a repeated
-// grid with zero simulations. Concurrent requests for the same grid are
-// batched into a single runGrid. SIGTERM/SIGINT drain gracefully: buffered
-// requests are answered, the socket is unlinked, and the exit code is 0.
+// grid with zero simulations. Each request is answered as soon as its line
+// is complete, in connection order; with --store, identical concurrent
+// grids simulate each cell once (the first writes the store, the rest are
+// store hits). SIGTERM/SIGINT drain gracefully: replies already produced
+// are delivered, the socket is unlinked, and the exit code is 0.
 #include <csignal>
 #include <iostream>
 #include <string>
@@ -47,7 +49,7 @@ int main(int argc, char** argv) {
 
   const engine::ServiceTotals& totals = service.totals();
   std::cout << "simd: served " << totals.requests << " requests ("
-            << totals.grids << " grids, " << totals.batched << " batched), "
+            << totals.grids << " grids), "
             << totals.cells << " cells (" << totals.storeHits
             << " store hits), " << totals.compiles << " compiles (+"
             << totals.compileHits << " cached), " << totals.simulations

@@ -11,6 +11,7 @@
 #include <cstring>
 #include <ostream>
 #include <utility>
+#include <vector>
 
 #include "engine/cell_codec.hpp"
 #include "engine/grid_spec.hpp"
@@ -19,17 +20,6 @@
 #include "support/json_lite.hpp"
 
 namespace riscmp::engine {
-
-namespace {
-
-std::string errorResponse(const std::string& message) {
-  support::JsonValue doc = support::JsonValue::object();
-  doc.set("type", support::JsonValue("error"));
-  doc.set("message", support::JsonValue(message));
-  return doc.dump();
-}
-
-}  // namespace
 
 SimService::SimService(ServiceOptions options) : options_(std::move(options)) {
   if (!options_.storeRoot.empty()) {
@@ -40,190 +30,125 @@ SimService::SimService(ServiceOptions options) : options_(std::move(options)) {
 SimService::~SimService() = default;
 
 std::string SimService::handleLine(const std::string& request) {
-  return handleBatch({request}).front();
+  totals_.requests += 1;
+  const std::optional<support::JsonValue> doc =
+      support::JsonValue::tryParse(request);
+  if (!doc || doc->kind() != support::JsonValue::Kind::Object ||
+      !doc->has("type")) {
+    return error("malformed request (want a JSON object with a \"type\" "
+                 "field)");
+  }
+  std::string type;
+  try {
+    type = doc->at("type").asString();
+  } catch (const Fault&) {
+    return error("malformed request: \"type\" must be a string");
+  }
+  if (type == "ping") {
+    support::JsonValue pong = support::JsonValue::object();
+    pong.set("type", support::JsonValue("pong"));
+    pong.set("v", support::JsonValue(kGridSpecV));
+    return pong.dump();
+  }
+  if (type == "stats") {
+    support::JsonValue stats = support::JsonValue::object();
+    stats.set("type", support::JsonValue("stats"));
+    stats.set("requests", support::JsonValue(totals_.requests));
+    stats.set("errors", support::JsonValue(totals_.errors));
+    stats.set("grids", support::JsonValue(totals_.grids));
+    stats.set("cells", support::JsonValue(totals_.cells));
+    stats.set("store_hits", support::JsonValue(totals_.storeHits));
+    stats.set("compiles", support::JsonValue(totals_.compiles));
+    stats.set("compile_hits", support::JsonValue(totals_.compileHits));
+    stats.set("simulations", support::JsonValue(totals_.simulations));
+    // ResultStore effectiveness (ISSUE 10 satellite): lifetime counters
+    // from the daemon's store, so sim_client --stats shows hit/miss/byte
+    // traffic alongside the engine compile/sim counts. All zeros when
+    // the daemon runs without --store.
+    stats.set("store_misses",
+              support::JsonValue(store_ ? store_->misses() : 0));
+    stats.set("store_writes",
+              support::JsonValue(store_ ? store_->writes() : 0));
+    stats.set("store_corrupt",
+              support::JsonValue(store_ ? store_->corrupt() : 0));
+    stats.set("store_bytes_read",
+              support::JsonValue(store_ ? store_->bytesRead() : 0));
+    stats.set("store_bytes_written",
+              support::JsonValue(store_ ? store_->bytesWritten() : 0));
+    return stats.dump();
+  }
+  if (type == "shutdown") {
+    shutdown_ = true;
+    support::JsonValue ack = support::JsonValue::object();
+    ack.set("type", support::JsonValue("shutdown"));
+    ack.set("ok", support::JsonValue(true));
+    return ack.dump();
+  }
+  if (type == "grid") return handleGrid(*doc);
+  return error("unknown request type '" + type + "'");
 }
 
-std::vector<std::string> SimService::handleBatch(
-    const std::vector<std::string>& requests) {
-  std::vector<std::string> responses(requests.size());
-  std::vector<std::size_t> gridLines;
-
-  for (std::size_t i = 0; i < requests.size(); ++i) {
-    totals_.requests += 1;
-    const std::optional<support::JsonValue> doc =
-        support::JsonValue::tryParse(requests[i]);
-    if (!doc || doc->kind() != support::JsonValue::Kind::Object ||
-        !doc->has("type")) {
-      totals_.errors += 1;
-      responses[i] = errorResponse("malformed request (want a JSON object "
-                                   "with a \"type\" field)");
-      continue;
-    }
-    std::string type;
-    try {
-      type = doc->at("type").asString();
-    } catch (const Fault&) {
-      totals_.errors += 1;
-      responses[i] = errorResponse("malformed request: \"type\" must be a "
-                                   "string");
-      continue;
-    }
-    if (type == "ping") {
-      support::JsonValue pong = support::JsonValue::object();
-      pong.set("type", support::JsonValue("pong"));
-      pong.set("v", support::JsonValue(kGridSpecV));
-      responses[i] = pong.dump();
-    } else if (type == "stats") {
-      support::JsonValue stats = support::JsonValue::object();
-      stats.set("type", support::JsonValue("stats"));
-      stats.set("requests", support::JsonValue(totals_.requests));
-      stats.set("errors", support::JsonValue(totals_.errors));
-      stats.set("grids", support::JsonValue(totals_.grids));
-      stats.set("batched", support::JsonValue(totals_.batched));
-      stats.set("cells", support::JsonValue(totals_.cells));
-      stats.set("store_hits", support::JsonValue(totals_.storeHits));
-      stats.set("compiles", support::JsonValue(totals_.compiles));
-      stats.set("compile_hits", support::JsonValue(totals_.compileHits));
-      stats.set("simulations", support::JsonValue(totals_.simulations));
-      // ResultStore effectiveness (ISSUE 10 satellite): lifetime counters
-      // from the daemon's store, so sim_client --stats shows hit/miss/byte
-      // traffic alongside the engine compile/sim counts. All zeros when
-      // the daemon runs without --store.
-      stats.set("store_misses",
-                support::JsonValue(store_ ? store_->misses() : 0));
-      stats.set("store_writes",
-                support::JsonValue(store_ ? store_->writes() : 0));
-      stats.set("store_corrupt",
-                support::JsonValue(store_ ? store_->corrupt() : 0));
-      stats.set("store_bytes_read",
-                support::JsonValue(store_ ? store_->bytesRead() : 0));
-      stats.set("store_bytes_written",
-                support::JsonValue(store_ ? store_->bytesWritten() : 0));
-      responses[i] = stats.dump();
-    } else if (type == "shutdown") {
-      shutdown_ = true;
-      support::JsonValue ack = support::JsonValue::object();
-      ack.set("type", support::JsonValue("shutdown"));
-      ack.set("ok", support::JsonValue(true));
-      responses[i] = ack.dump();
-    } else if (type == "grid") {
-      gridLines.push_back(i);
-    } else {
-      totals_.errors += 1;
-      responses[i] = errorResponse("unknown request type '" + type + "'");
-    }
-  }
-
-  if (!gridLines.empty()) handleGrids(requests, responses, gridLines);
-  return responses;
+std::string SimService::refuse(const std::string& message) {
+  totals_.requests += 1;
+  return error(message);
 }
 
-void SimService::handleGrids(const std::vector<std::string>& batch,
-                             std::vector<std::string>& responses,
-                             const std::vector<std::size_t>& gridLines) {
-  // Resolve every grid request first so identical specs can share a run.
-  struct Parsed {
-    std::size_t line = 0;
-    GridSpec spec;
-    ResolvedGrid resolved;
-  };
-  std::vector<Parsed> parsed;
-  for (const std::size_t line : gridLines) {
-    // The line already parsed once in handleBatch; tryParse cannot fail.
-    const support::JsonValue doc = *support::JsonValue::tryParse(batch[line]);
-    try {
-      Parsed entry;
-      entry.line = line;
-      entry.spec = gridSpecFromJson(doc.at("spec"));
-      EngineOptions base;
-      base.jobs = options_.jobs;
-      base.resultStore = store_;
-      entry.resolved = resolveGridSpec(entry.spec, base);
-      parsed.push_back(std::move(entry));
-    } catch (const Fault& fault) {
-      totals_.errors += 1;
-      responses[line] = errorResponse(fault.what());
-    }
-  }
+std::string SimService::error(const std::string& message) {
+  totals_.errors += 1;
+  support::JsonValue doc = support::JsonValue::object();
+  doc.set("type", support::JsonValue("error"));
+  doc.set("message", support::JsonValue(message));
+  return doc.dump();
+}
 
-  // FIFO by first appearance: each unique fingerprint runs once and every
-  // requester in the group receives the exact same response bytes.
-  std::vector<std::size_t> order;  // indices into `parsed` of group leaders
-  std::vector<std::vector<std::size_t>> groups;
-  for (std::size_t p = 0; p < parsed.size(); ++p) {
-    bool grouped = false;
-    for (std::size_t g = 0; g < order.size(); ++g) {
-      if (parsed[order[g]].resolved.fingerprint ==
-          parsed[p].resolved.fingerprint) {
-        groups[g].push_back(p);
-        grouped = true;
-        break;
-      }
-    }
-    if (!grouped) {
-      order.push_back(p);
-      groups.push_back({p});
-    }
-  }
+std::string SimService::handleGrid(const support::JsonValue& request) {
+  try {
+    const GridSpec spec = gridSpecFromJson(request.at("spec"));
+    EngineOptions base;
+    base.jobs = options_.jobs;
+    base.resultStore = store_;
+    const ResolvedGrid resolved = resolveGridSpec(spec, base);
 
-  for (std::size_t g = 0; g < order.size(); ++g) {
-    Parsed& leader = parsed[order[g]];
     const std::uint64_t compilesBefore = cache_.compiles();
     const std::uint64_t hitsBefore = cache_.hits();
+    ExperimentEngine engine(resolved.options, &cache_);
+    const GridResult grid = engine.runGrid(resolved.suite, resolved.configs);
+    const EngineStats stats = engine.stats();
+    const std::uint64_t compiles = cache_.compiles() - compilesBefore;
+    const std::uint64_t compileHits = cache_.hits() - hitsBefore;
 
-    std::string response;
-    try {
-      ExperimentEngine engine(leader.resolved.options, &cache_);
-      const GridResult grid =
-          engine.runGrid(leader.resolved.suite, leader.resolved.configs);
-      const EngineStats stats = engine.stats();
-      const std::uint64_t compiles = cache_.compiles() - compilesBefore;
-      const std::uint64_t compileHits = cache_.hits() - hitsBefore;
+    support::JsonValue cells = support::JsonValue::array();
+    for (const CellResult& cell : grid.cells) cells.push(encodeCell(cell));
 
-      support::JsonValue cells = support::JsonValue::array();
-      for (const CellResult& cell : grid.cells) cells.push(encodeCell(cell));
+    support::JsonValue delta = support::JsonValue::object();
+    delta.set("cells", support::JsonValue(
+                           static_cast<std::uint64_t>(grid.cells.size())));
+    delta.set("store_hits", support::JsonValue(stats.storeHits));
+    delta.set("compiles", support::JsonValue(compiles));
+    delta.set("compile_hits", support::JsonValue(compileHits));
+    delta.set("simulations", support::JsonValue(stats.simulations));
 
-      support::JsonValue delta = support::JsonValue::object();
-      delta.set("cells",
-                support::JsonValue(
-                    static_cast<std::uint64_t>(grid.cells.size())));
-      delta.set("store_hits", support::JsonValue(stats.storeHits));
-      delta.set("compiles", support::JsonValue(compiles));
-      delta.set("compile_hits", support::JsonValue(compileHits));
-      delta.set("simulations", support::JsonValue(stats.simulations));
-      delta.set("batched",
-                support::JsonValue(
-                    static_cast<std::uint64_t>(groups[g].size() - 1)));
+    support::JsonValue doc = support::JsonValue::object();
+    doc.set("type", support::JsonValue("grid"));
+    doc.set("v", support::JsonValue(kGridSpecV));
+    doc.set("ok", support::JsonValue(!grid.anyFailed()));
+    doc.set("fingerprint", support::JsonValue(resolved.fingerprint));
+    doc.set("workloads", support::JsonValue(
+                             static_cast<std::uint64_t>(grid.workloadCount)));
+    doc.set("configs", support::JsonValue(
+                           static_cast<std::uint64_t>(grid.configCount)));
+    doc.set("cells", std::move(cells));
+    doc.set("stats", std::move(delta));
 
-      support::JsonValue doc = support::JsonValue::object();
-      doc.set("type", support::JsonValue("grid"));
-      doc.set("v", support::JsonValue(kGridSpecV));
-      doc.set("ok", support::JsonValue(!grid.anyFailed()));
-      doc.set("fingerprint",
-              support::JsonValue(leader.resolved.fingerprint));
-      doc.set("workloads",
-              support::JsonValue(
-                  static_cast<std::uint64_t>(grid.workloadCount)));
-      doc.set("configs", support::JsonValue(
-                             static_cast<std::uint64_t>(grid.configCount)));
-      doc.set("cells", std::move(cells));
-      doc.set("stats", std::move(delta));
-      response = doc.dump();
-
-      totals_.grids += 1;
-      totals_.batched += groups[g].size() - 1;
-      totals_.cells += grid.cells.size() * groups[g].size();
-      totals_.storeHits += stats.storeHits;
-      totals_.compiles += compiles;
-      totals_.compileHits += compileHits;
-      totals_.simulations += stats.simulations;
-    } catch (const Fault& fault) {
-      totals_.errors += groups[g].size();
-      response = errorResponse(fault.what());
-    }
-    for (const std::size_t p : groups[g]) {
-      responses[parsed[p].line] = response;
-    }
+    totals_.grids += 1;
+    totals_.cells += grid.cells.size();
+    totals_.storeHits += stats.storeHits;
+    totals_.compiles += compiles;
+    totals_.compileHits += compileHits;
+    totals_.simulations += stats.simulations;
+    return doc.dump();
+  } catch (const Fault& fault) {
+    return error(fault.what());
   }
 }
 
@@ -236,38 +161,43 @@ namespace {
 struct Conn {
   int fd = -1;
   std::string in;
-  bool complete = false;  ///< `in` holds one full request line
+  bool answered = false;  ///< `out` holds the reply; nothing more is read
   std::string out;
   std::size_t sent = 0;
-  bool answered = false;
 };
 
-bool readSome(Conn& conn) {
+enum class ReadResult { Pending, Line, TooLong, Closed };
+
+/// Drain what the socket holds into conn.in, up to the first newline.
+/// Only the bytes just read are searched, so a long line costs linear time.
+ReadResult readSome(Conn& conn) {
   char buffer[4096];
   for (;;) {
     const ssize_t n = ::read(conn.fd, buffer, sizeof(buffer));
     if (n > 0) {
-      conn.in.append(buffer, static_cast<std::size_t>(n));
-      const std::size_t newline = conn.in.find('\n');
-      if (newline != std::string::npos) {
-        conn.in.resize(newline);
-        conn.complete = true;
-        return true;
-      }
+      const auto* newline = static_cast<const char*>(
+          std::memchr(buffer, '\n', static_cast<std::size_t>(n)));
+      const std::size_t keep = newline != nullptr
+                                   ? static_cast<std::size_t>(newline - buffer)
+                                   : static_cast<std::size_t>(n);
+      if (conn.in.size() + keep > kMaxRequestBytes) return ReadResult::TooLong;
+      conn.in.append(buffer, keep);
+      if (newline != nullptr) return ReadResult::Line;
       continue;
     }
-    if (n == 0) return conn.complete;  // EOF: dead unless already complete
-    if (errno == EAGAIN || errno == EWOULDBLOCK) return true;
+    if (n == 0) return ReadResult::Closed;  // EOF before a complete line
+    if (errno == EAGAIN || errno == EWOULDBLOCK) return ReadResult::Pending;
     if (errno == EINTR) continue;
-    return false;
+    return ReadResult::Closed;
   }
 }
 
-/// Flush as much of conn.out as the socket accepts; false on hard error.
+/// Flush as much of conn.out as the socket accepts; false on hard error
+/// (a peer that hung up gets EPIPE here, never SIGPIPE).
 bool writeSome(Conn& conn) {
   while (conn.sent < conn.out.size()) {
-    const ssize_t n = ::write(conn.fd, conn.out.data() + conn.sent,
-                              conn.out.size() - conn.sent);
+    const ssize_t n = ::send(conn.fd, conn.out.data() + conn.sent,
+                             conn.out.size() - conn.sent, MSG_NOSIGNAL);
     if (n > 0) {
       conn.sent += static_cast<std::size_t>(n);
       continue;
@@ -284,24 +214,28 @@ void setNonBlocking(int fd) {
   if (flags >= 0) ::fcntl(fd, F_SETFL, flags | O_NONBLOCK);
 }
 
-/// Answer every complete-but-unanswered request in one service batch.
-void dispatch(SimService& service, std::vector<Conn>& conns) {
-  std::vector<std::size_t> ready;
-  std::vector<std::string> lines;
-  for (std::size_t i = 0; i < conns.size(); ++i) {
-    if (conns[i].complete && !conns[i].answered) {
-      ready.push_back(i);
-      lines.push_back(conns[i].in);
+/// Read, answer and flush one connection; false once it is finished
+/// (reply fully sent) or dead.
+bool serviceConn(SimService& service, Conn& conn) {
+  if (!conn.answered) {
+    switch (readSome(conn)) {
+      case ReadResult::Pending:
+        return true;
+      case ReadResult::Closed:
+        return false;
+      case ReadResult::Line:
+        conn.out = service.handleLine(conn.in);
+        break;
+      case ReadResult::TooLong:
+        conn.out = service.refuse("request line exceeds " +
+                                  std::to_string(kMaxRequestBytes) +
+                                  " bytes");
+        break;
     }
-  }
-  if (ready.empty()) return;
-  const std::vector<std::string> responses = service.handleBatch(lines);
-  for (std::size_t r = 0; r < ready.size(); ++r) {
-    Conn& conn = conns[ready[r]];
-    conn.out = responses[r] + "\n";
-    conn.sent = 0;
+    conn.out += '\n';
     conn.answered = true;
   }
+  return writeSome(conn) && conn.sent < conn.out.size();
 }
 
 }  // namespace
@@ -335,65 +269,31 @@ int serveUnixSocket(SimService& service, const std::string& socketPath,
   log << "simd: listening on " << socketPath << std::endl;
 
   std::vector<Conn> conns;
-  bool draining = false;
   for (;;) {
-    if (!draining && ((stopFlag != nullptr && *stopFlag != 0) ||
-                      service.shutdownRequested())) {
-      draining = true;  // stop accepting; answer what is already buffered
-    }
-
-    bool pendingRequests = false;
+    // Draining: stop accepting, finish delivering the replies already made.
+    const bool draining = (stopFlag != nullptr && *stopFlag != 0) ||
+                          service.shutdownRequested();
     bool pendingWrites = false;
     std::vector<pollfd> fds;
-    if (!draining) {
-      fds.push_back(pollfd{listener, POLLIN, 0});
-    }
+    if (!draining) fds.push_back(pollfd{listener, POLLIN, 0});
     for (const Conn& conn : conns) {
-      short events = 0;
-      if (!conn.complete) events |= POLLIN;
-      if (conn.answered && conn.sent < conn.out.size()) {
-        events |= POLLOUT;
-        pendingWrites = true;
-      }
-      if (conn.complete && !conn.answered) pendingRequests = true;
+      pendingWrites = pendingWrites || conn.answered;
+      const short events = conn.answered ? POLLOUT : POLLIN;
       fds.push_back(pollfd{conn.fd, events, 0});
     }
+    if (draining && !pendingWrites) break;
 
-    if (draining && !pendingRequests && !pendingWrites) break;
-
-    // Short grace when requests are waiting: one more quiet poll cycle
-    // lets concurrent clients land in the same batch.
-    const int timeoutMs = draining ? 0 : (pendingRequests ? 20 : 200);
-    const int ready = ::poll(fds.data(), fds.size(), timeoutMs);
-    if (ready < 0 && errno != EINTR) {
+    if (::poll(fds.data(), fds.size(), 200) < 0 && errno != EINTR) {
       log << "simd: poll(): " << std::strerror(errno) << "\n";
       break;
     }
 
-    std::size_t cursor = 0;
-    if (!draining) {
-      if ((fds[cursor].revents & POLLIN) != 0) {
-        for (;;) {
-          const int fd = ::accept(listener, nullptr, nullptr);
-          if (fd < 0) break;
-          setNonBlocking(fd);
-          Conn conn;
-          conn.fd = fd;
-          conns.push_back(std::move(conn));
-        }
-      }
-      cursor = 1;
-    }
-    for (std::size_t i = 0; i + cursor < fds.size() && i < conns.size();
-         ++i) {
+    // Existing connections in accept order, each answered the moment its
+    // line is complete; then new connections join the back of the line.
+    const std::size_t first = draining ? 0 : 1;
+    for (std::size_t i = 0; i < conns.size(); ++i) {
       Conn& conn = conns[i];
-      const short revents = fds[i + cursor].revents;
-      bool alive = true;
-      if ((revents & (POLLIN | POLLHUP | POLLERR)) != 0 && !conn.complete) {
-        alive = readSome(conn);
-      }
-      if (alive && (revents & POLLOUT) != 0) alive = writeSome(conn);
-      if (!alive) {
+      if (fds[first + i].revents != 0 && !serviceConn(service, conn)) {
         ::close(conn.fd);
         conn.fd = -1;
       }
@@ -401,37 +301,19 @@ int serveUnixSocket(SimService& service, const std::string& socketPath,
     conns.erase(std::remove_if(conns.begin(), conns.end(),
                                [](const Conn& c) { return c.fd < 0; }),
                 conns.end());
-
-    // Dispatch when the wire went quiet (or we are draining): every
-    // complete request buffered by now becomes one handleBatch call.
-    if (ready == 0 || draining) {
-      dispatch(service, conns);
-      for (Conn& conn : conns) {
-        if (conn.answered && !writeSome(conn)) {
-          ::close(conn.fd);
-          conn.fd = -1;
-        }
-      }
-      conns.erase(std::remove_if(conns.begin(), conns.end(),
-                                 [](const Conn& c) { return c.fd < 0; }),
-                  conns.end());
-    }
-
-    // Fully answered connections are done (one request per connection).
-    for (Conn& conn : conns) {
-      if (conn.answered && conn.sent == conn.out.size()) {
-        ::close(conn.fd);
-        conn.fd = -1;
+    if (!draining && (fds[0].revents & POLLIN) != 0) {
+      for (;;) {
+        const int fd = ::accept(listener, nullptr, nullptr);
+        if (fd < 0) break;
+        setNonBlocking(fd);
+        Conn conn;
+        conn.fd = fd;
+        conns.push_back(std::move(conn));
       }
     }
-    conns.erase(std::remove_if(conns.begin(), conns.end(),
-                               [](const Conn& c) { return c.fd < 0; }),
-                conns.end());
   }
 
-  for (const Conn& conn : conns) {
-    if (conn.fd >= 0) ::close(conn.fd);
-  }
+  for (const Conn& conn : conns) ::close(conn.fd);
   ::close(listener);
   ::unlink(socketPath.c_str());
   log << "simd: drained, shutting down" << std::endl;
@@ -460,8 +342,8 @@ std::string requestOverSocket(const std::string& socketPath,
   const std::string payload = requestLine + "\n";
   std::size_t sent = 0;
   while (sent < payload.size()) {
-    const ssize_t n = ::write(fd, payload.data() + sent,
-                              payload.size() - sent);
+    const ssize_t n = ::send(fd, payload.data() + sent,
+                             payload.size() - sent, MSG_NOSIGNAL);
     if (n < 0 && errno == EINTR) continue;
     if (n <= 0) {
       ::close(fd);
@@ -480,13 +362,14 @@ std::string requestOverSocket(const std::string& socketPath,
       throw ConfigError("read from " + socketPath + " failed");
     }
     if (n == 0) break;
-    reply.append(buffer, static_cast<std::size_t>(n));
-    const std::size_t newline = reply.find('\n');
-    if (newline != std::string::npos) {
-      reply.resize(newline);
+    const auto* newline = static_cast<const char*>(
+        std::memchr(buffer, '\n', static_cast<std::size_t>(n)));
+    if (newline != nullptr) {
+      reply.append(buffer, static_cast<std::size_t>(newline - buffer));
       ::close(fd);
       return reply;
     }
+    reply.append(buffer, static_cast<std::size_t>(n));
   }
   ::close(fd);
   if (reply.empty()) {

@@ -5,9 +5,9 @@
 // CompileCache (kernels compile once per daemon lifetime, not once per
 // bench invocation) and an optional shared ResultStore (cells simulate
 // once per store lifetime, across daemons and local runs alike). The
-// service core here is transport-free and unit-testable: handleBatch()
-// maps request lines to response lines; serveUnixSocket() is the thin
-// poll(2) loop that feeds it from a Unix-domain stream socket.
+// service core here is transport-free and unit-testable: handleLine()
+// maps one request line to one response line; serveUnixSocket() is the
+// thin poll(2) loop that feeds it from a Unix-domain stream socket.
 //
 // Protocol: line-delimited JSON (json_lite), one request per connection,
 // one response line back. Requests:
@@ -18,29 +18,38 @@
 //   {"type":"grid","spec":{GridSpec}}   -> {"type":"grid","ok":...,
 //                                           "cells":[cell_codec...],
 //                                           "stats":{request deltas}}
-// Anything else (or malformed JSON, or a spec that fails to resolve) gets
-// {"type":"error","message":...}; the daemon never dies on bad input.
+// Anything else (or malformed JSON, or a spec that fails to resolve, or a
+// line longer than kMaxRequestBytes) gets {"type":"error","message":...};
+// the daemon never dies on bad input.
 //
-// Batching: all grid requests in one handleBatch() call are grouped by
-// their resolved GridSpec fingerprint; each unique grid runs runGrid once
-// (FIFO by first appearance) and every requester receives the same
-// response bytes. Combined with the result store this is what turns N
-// concurrent identical clients into at most one simulation per cell.
+// Each request is answered as soon as its line is complete, in connection
+// order. The result store is the one mechanism that skips computed work:
+// with --store, identical concurrent grids simulate each cell at most
+// once (the first writes the store, the rest are store hits); without it
+// only the compile cache is shared.
 #pragma once
 
 #include <csignal>
+#include <cstddef>
 #include <cstdint>
 #include <iosfwd>
 #include <memory>
 #include <string>
-#include <vector>
 
 #include "engine/compile_cache.hpp"
 #include "engine/engine.hpp"
 
+namespace riscmp::support {
+class JsonValue;
+}
+
 namespace riscmp::engine {
 
 class ResultStore;
+
+/// Longest request line the socket transport buffers; a grid spec is
+/// about 0.5 KB.
+inline constexpr std::size_t kMaxRequestBytes = std::size_t{1} << 20;
 
 struct ServiceOptions {
   /// Worker threads per grid run (0 = hardware concurrency).
@@ -54,8 +63,7 @@ struct ServiceOptions {
 struct ServiceTotals {
   std::uint64_t requests = 0;     ///< lines handled, of any type
   std::uint64_t errors = 0;       ///< error responses produced
-  std::uint64_t grids = 0;        ///< unique grids actually run
-  std::uint64_t batched = 0;      ///< grid requests coalesced into a peer's run
+  std::uint64_t grids = 0;        ///< grids run
   std::uint64_t cells = 0;        ///< cells served across all grid responses
   std::uint64_t storeHits = 0;    ///< cells served from the result store
   std::uint64_t compiles = 0;     ///< shared-cache compile invocations
@@ -68,14 +76,13 @@ class SimService {
   explicit SimService(ServiceOptions options);
   ~SimService();
 
-  /// Map request lines to response lines, index for index (no trailing
-  /// newlines on either side). Grid requests within the batch that resolve
-  /// to the same fingerprint share one runGrid.
-  std::vector<std::string> handleBatch(
-      const std::vector<std::string>& requests);
-
-  /// Convenience for single requests (tests, simple transports).
+  /// Map one request line to its response line (no trailing newline on
+  /// either side).
   std::string handleLine(const std::string& request);
+
+  /// Answer a request the transport refused to read (a line over
+  /// kMaxRequestBytes): an error reply, counted as a request and an error.
+  std::string refuse(const std::string& message);
 
   [[nodiscard]] const ServiceTotals& totals() const { return totals_; }
   /// Set once a "shutdown" request has been answered; the transport loop
@@ -83,9 +90,8 @@ class SimService {
   [[nodiscard]] bool shutdownRequested() const { return shutdown_; }
 
  private:
-  void handleGrids(const std::vector<std::string>& batch,
-                   std::vector<std::string>& responses,
-                   const std::vector<std::size_t>& gridLines);
+  std::string handleGrid(const support::JsonValue& request);
+  std::string error(const std::string& message);
 
   ServiceOptions options_;
   CompileCache cache_;
@@ -96,8 +102,9 @@ class SimService {
 
 /// Serve `service` on a Unix-domain stream socket at `socketPath` until a
 /// shutdown request arrives or `*stopFlag` becomes nonzero (SIGTERM/SIGINT
-/// handlers set it; graceful drain: buffered complete requests are still
-/// answered). Prints "simd: listening on <path>" to `log` once ready.
+/// handlers set it; graceful drain: replies already produced are still
+/// delivered). Each connection's request is answered as soon as its line
+/// is complete. Prints "simd: listening on <path>" to `log` once ready.
 /// Returns a process exit code; the socket file is unlinked on the way out.
 int serveUnixSocket(SimService& service, const std::string& socketPath,
                     const volatile std::sig_atomic_t* stopFlag,

@@ -1,16 +1,24 @@
 // SimService tests (ISSUE 9): protocol dispatch (ping/stats/errors), grid
-// execution with store-backed warm replies, request batching (identical
-// specs in one batch run the engine once and get identical bytes), and a
-// live Unix-socket round-trip through serveUnixSocket/requestOverSocket.
+// execution with store-backed warm replies, a broken spec that leaves later
+// requests unharmed, a live Unix-socket round-trip through
+// serveUnixSocket/requestOverSocket, and wall-clock-bounded socket cases
+// that once wedged or killed the daemon: a client that hangs up before its
+// answer, one that trickles bytes, one that closes while its grid runs, and
+// an over-long request line.
 #include <gtest/gtest.h>
+#include <sys/socket.h>
+#include <sys/time.h>
+#include <sys/un.h>
+#include <unistd.h>
 
+#include <atomic>
 #include <chrono>
 #include <csignal>
+#include <cstring>
 #include <filesystem>
 #include <sstream>
 #include <string>
 #include <thread>
-#include <vector>
 
 #include "engine/grid_spec.hpp"
 #include "engine/service.hpp"
@@ -33,9 +41,9 @@ struct TempDir {
   ~TempDir() { std::filesystem::remove_all(path); }
 };
 
-std::string gridRequest() {
+std::string gridRequest(double scale = 0.02) {
   GridSpec spec;
-  spec.scale = 0.02;
+  spec.scale = scale;
   spec.workloads = {"STREAM"};
   spec.configs = {{Arch::Rv64, kgen::CompilerEra::Gcc12}};
   spec.analyses = kPathLength;
@@ -141,31 +149,14 @@ TEST(SimService, BadWindowsGetAnErrorReplyAndTheDaemonStaysUp) {
   EXPECT_EQ(grid.at("type").asString(), "grid");
 }
 
-TEST(SimService, IdenticalRequestsInOneBatchRunOnce) {
+TEST(SimService, BrokenSpecDoesNotPoisonLaterRequests) {
   SimService service({});
-  const std::vector<std::string> batch = {gridRequest(), gridRequest()};
-  const std::vector<std::string> responses = service.handleBatch(batch);
-  ASSERT_EQ(responses.size(), 2u);
-  EXPECT_EQ(responses[0], responses[1]);  // same grid -> same bytes
-  const support::JsonValue doc = support::JsonValue::parse(responses[0]);
-  ASSERT_EQ(doc.at("type").asString(), "grid");
-  EXPECT_EQ(doc.at("stats").at("batched").asUint(), 1u);
-  // One engine run for the pair, even without a result store.
-  EXPECT_EQ(service.totals().simulations, 1u);
-  EXPECT_EQ(service.totals().batched, 1u);
-  EXPECT_EQ(service.totals().cells, 2u);
-}
-
-TEST(SimService, BrokenSpecInBatchDoesNotPoisonOthers) {
-  SimService service({});
-  const std::vector<std::string> batch = {
-      "{\"type\":\"grid\",\"spec\":{\"v\":99}}", gridRequest()};
-  const std::vector<std::string> responses = service.handleBatch(batch);
-  ASSERT_EQ(responses.size(), 2u);
-  EXPECT_EQ(support::JsonValue::parse(responses[0]).at("type").asString(),
-            "error");
-  EXPECT_EQ(support::JsonValue::parse(responses[1]).at("type").asString(),
-            "grid");
+  const support::JsonValue broken = support::JsonValue::parse(
+      service.handleLine("{\"type\":\"grid\",\"spec\":{\"v\":99}}"));
+  EXPECT_EQ(broken.at("type").asString(), "error");
+  const support::JsonValue grid =
+      support::JsonValue::parse(service.handleLine(gridRequest()));
+  EXPECT_EQ(grid.at("type").asString(), "grid");
 }
 
 TEST(SimService, SocketRoundTripAndShutdownDrain) {
@@ -196,6 +187,160 @@ TEST(SimService, SocketRoundTripAndShutdownDrain) {
   EXPECT_FALSE(std::filesystem::exists(socketPath));  // unlinked on drain
   EXPECT_THROW(requestOverSocket(socketPath, "{\"type\":\"ping\"}"),
                ConfigError);
+}
+
+using Clock = std::chrono::steady_clock;
+
+/// A blocking client socket whose sends and receives give up after 5 s, so
+/// a wedged daemon fails a test instead of hanging it. -1 if unconnected.
+int connectClient(const std::string& socketPath) {
+  const int fd = ::socket(AF_UNIX, SOCK_STREAM, 0);
+  if (fd < 0) return -1;
+  const timeval timeout{5, 0};
+  ::setsockopt(fd, SOL_SOCKET, SO_RCVTIMEO, &timeout, sizeof(timeout));
+  ::setsockopt(fd, SOL_SOCKET, SO_SNDTIMEO, &timeout, sizeof(timeout));
+  sockaddr_un addr{};
+  addr.sun_family = AF_UNIX;
+  std::memcpy(addr.sun_path, socketPath.c_str(), socketPath.size() + 1);
+  if (::connect(fd, reinterpret_cast<const sockaddr*>(&addr),
+                sizeof(addr)) != 0) {
+    ::close(fd);
+    return -1;
+  }
+  return fd;
+}
+
+bool sendAll(int fd, const std::string& bytes) {
+  std::size_t sent = 0;
+  while (sent < bytes.size()) {
+    const ssize_t n = ::send(fd, bytes.data() + sent, bytes.size() - sent,
+                             MSG_NOSIGNAL);
+    if (n <= 0) return false;
+    sent += static_cast<std::size_t>(n);
+  }
+  return true;
+}
+
+/// Everything up to the first newline; empty on timeout or early EOF.
+std::string readLine(int fd) {
+  std::string line;
+  char c = 0;
+  while (::recv(fd, &c, 1, 0) == 1) {
+    if (c == '\n') return line;
+    line.push_back(c);
+  }
+  return {};
+}
+
+/// One request on a fresh connection; the reply, or empty after 5 s.
+std::string timedRequest(const std::string& socketPath,
+                         const std::string& line) {
+  const int fd = connectClient(socketPath);
+  if (fd < 0) return {};
+  const std::string reply = sendAll(fd, line + "\n") ? readLine(fd) : "";
+  ::close(fd);
+  return reply;
+}
+
+void expectPongWithin(const std::string& socketPath, double seconds) {
+  const Clock::time_point start = Clock::now();
+  const std::string reply = timedRequest(socketPath, "{\"type\":\"ping\"}");
+  const std::chrono::duration<double> took = Clock::now() - start;
+  EXPECT_NE(reply.find("\"type\":\"pong\""), std::string::npos)
+      << "reply: '" << reply << "'";
+  EXPECT_LT(took.count(), seconds);
+}
+
+/// A daemon serving a private socket from a background thread, shut down
+/// over the socket on destruction. A daemon that no longer answers leaves
+/// the join hanging until ctest's TIMEOUT fails the test.
+class LiveDaemon {
+ public:
+  explicit LiveDaemon(const std::string& tag, ServiceOptions options = {})
+      : dir_(tag),
+        socket_((dir_.path / "d.sock").string()),
+        service_(std::move(options)),
+        server_([this] { serveUnixSocket(service_, socket_, nullptr, log_); }) {
+    for (int i = 0; i < 200 && !std::filesystem::exists(socket_); ++i) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(10));
+    }
+  }
+  ~LiveDaemon() {
+    (void)timedRequest(socket_, "{\"type\":\"shutdown\"}");
+    server_.join();
+  }
+  LiveDaemon(const LiveDaemon&) = delete;
+  LiveDaemon& operator=(const LiveDaemon&) = delete;
+
+  [[nodiscard]] const std::string& socket() const { return socket_; }
+
+ private:
+  TempDir dir_;
+  std::string socket_;
+  SimService service_;
+  std::ostringstream log_;
+  std::thread server_;
+};
+
+TEST(SimServiceSocket, HangUpBeforeAnswerDoesNotWedge) {
+  LiveDaemon daemon("hangup");
+  const int fd = connectClient(daemon.socket());
+  ASSERT_GE(fd, 0);
+  ASSERT_TRUE(sendAll(fd, "{\"type\":\"ping\"}\n"));
+  ::close(fd);
+  expectPongWithin(daemon.socket(), 1.0);
+}
+
+TEST(SimServiceSocket, TricklingClientDoesNotDelayOthers) {
+  LiveDaemon daemon("trickle");
+  const int slow = connectClient(daemon.socket());
+  ASSERT_GE(slow, 0);
+  std::atomic<bool> done{false};
+  std::thread trickler([&] {
+    while (!done && sendAll(slow, " ")) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(5));
+    }
+  });
+  std::this_thread::sleep_for(std::chrono::milliseconds(50));
+  expectPongWithin(daemon.socket(), 1.0);
+  done = true;
+  trickler.join();
+  ::close(slow);
+}
+
+TEST(SimServiceSocket, ClientClosingMidGridDoesNotKillTheDaemon) {
+  ServiceOptions options;
+  options.jobs = 1;
+  LiveDaemon daemon("midgrid", options);
+  const int fd = connectClient(daemon.socket());
+  ASSERT_GE(fd, 0);
+  ASSERT_TRUE(sendAll(fd, gridRequest(0.4) + "\n"));
+  std::this_thread::sleep_for(std::chrono::milliseconds(30));
+  ::close(fd);
+  expectPongWithin(daemon.socket(), 2.0);
+}
+
+TEST(SimServiceSocket, OversizedLineGetsAnErrorAndOthersAreServed) {
+  LiveDaemon daemon("oversize");
+  std::string reply;
+  std::thread flooder([&] {
+    const int fd = connectClient(daemon.socket());
+    if (fd < 0) return;
+    // The daemon gives up reading at kMaxRequestBytes, so the tail of the
+    // flood may be refused; its reply is queued either way.
+    (void)sendAll(fd, std::string(2 * kMaxRequestBytes, 'x'));
+    reply = readLine(fd);
+    ::close(fd);
+  });
+  expectPongWithin(daemon.socket(), 1.0);
+  flooder.join();
+  const support::JsonValue error = support::JsonValue::parse(
+      reply.empty() ? std::string("{}") : reply);
+  ASSERT_TRUE(error.has("type")) << "no reply to the oversized line";
+  EXPECT_EQ(error.at("type").asString(), "error");
+  const support::JsonValue stats = support::JsonValue::parse(
+      timedRequest(daemon.socket(), "{\"type\":\"stats\"}"));
+  EXPECT_EQ(stats.at("errors").asUint(), 1u);
 }
 
 }  // namespace
